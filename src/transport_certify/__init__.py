@@ -26,19 +26,18 @@ from .core import (
 )
 from .solver import OptimalResult, brute_force_optimal, is_optimal, solve_exact
 from .monotonicity import (
-    ExchangeGraph,
+    ResidualGraph,
     ViolatingCycle,
-    build_exchange_graph,
     check_c_monotone,
     improve_plan,
     improve_to_monotone,
+    residual_graph,
 )
 from .connectivity import (
     ConnectivityDecomposition,
     check_class_confinement,
     decompose,
     is_connecting,
-    reach_graph,
 )
 from .potentials import (
     CertifyResult,

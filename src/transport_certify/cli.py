@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +33,6 @@ from .core import (
     total_cost,
     validate_plan,
 )
-from .connectivity import decompose
 from .generators import GENERATORS, generate
 from .monotonicity import check_c_monotone, improve_plan
 from .multimarginal import check_dichotomy, l_value, load_mmi, p_value
@@ -126,8 +126,11 @@ def _cycle_witness(cycle):
 
 
 def _policy_from_args(args) -> Policy:
+    tolerance = getattr(args, "tolerance", 1e-9)
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise InstanceError(f"tolerance must be a finite number >= 0, got {tolerance}")
     if getattr(args, "float_mode", False):
-        return float_policy(getattr(args, "tolerance", 1e-9) or 1e-9)
+        return float_policy(tolerance)
     return RATIONAL
 
 
@@ -204,11 +207,10 @@ def cmd_check(args) -> Report:
                 "anchor": list(cert.pair.anchor),
             }
             if cert.class_count > 1:
-                deco = decompose(instance, support(plan, policy=policy))
                 witness["decomposition"] = [
                     {"C": list(cls.sources), "D": list(cls.targets),
                      "pairs": [list(p) for p in cls.pairs]}
-                    for cls in deco.classes
+                    for cls in cert.classes
                 ]
         else:
             witness = cert.reason
@@ -317,7 +319,8 @@ def _batch_worker(payload):
     try:
         report = _run_single(args)
         return path, report, 0 if report.all_passed else 1
-    except (InstanceError, OSError, json.JSONDecodeError) as exc:
+    except (InstanceError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         failure = Report(command=args.command)
         failure.add("input parsed", False, str(exc))
         return path, failure, 2
@@ -427,7 +430,8 @@ def main(argv=None) -> int:
                 code = max(code, status)
             return code
         report = _run_single(args)
-    except (InstanceError, OSError, json.JSONDecodeError) as exc:
+    except (InstanceError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not report.quiet:

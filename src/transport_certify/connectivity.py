@@ -1,12 +1,14 @@
-"""Reachability structure of a support: one-step relation, equivalence
-classes, and the confinement property of feasible plans.
+"""Connecting classes of a support and the confinement property of
+feasible plans.
 
 A support pair p can pass work to p' when the crossing cost
-cost(x_of_p', y_of_p) is finite.  Strongly connected components of that
-relation partition the support into classes C_i x D_i with mutually
-disjoint projections; a support is connecting when there is a single
-class.  Any feasible finite-cost plan must keep all its mass inside the
-union of the class rectangles, which the confinement check certifies by
+cost(x_of_p', y_of_p) is finite.  In the residual graph of the support (see
+``monotonicity``) that is the path y_of_p' -> x_of_p' -> y_of_p, so the
+classes of mutual reachability are the strongly connected components that
+hold a support arc.  They partition the support into classes C_i x D_i with
+mutually disjoint projections; a support is connecting when there is a
+single class.  Any feasible finite-cost plan must keep all its mass inside
+the union of the class rectangles, which the confinement check certifies by
 maximizing the escaping mass with one solver call.
 """
 
@@ -22,16 +24,8 @@ from .core import (
     RATIONAL,
     SupportSet,
 )
+from .monotonicity import ResidualGraph, residual_graph
 from .solver import solve_transport
-
-
-@dataclass(frozen=True)
-class ReachGraph:
-    """nodes[i] is a support pair; edges[i] is a tuple of reachable node
-    indices (one step)."""
-
-    nodes: tuple
-    edges: tuple
 
 
 @dataclass(frozen=True)
@@ -44,7 +38,6 @@ class ConnectivityClass:
 @dataclass(frozen=True)
 class ConnectivityDecomposition:
     classes: tuple
-    reach_edges: tuple
 
     def class_of_pair(self, pair):
         for idx, cls in enumerate(self.classes):
@@ -60,24 +53,9 @@ class ConfinementReport:
     witness_plan: tuple | None
 
 
-def reach_graph(instance: Instance, support_set: SupportSet) -> ReachGraph:
-    nodes = tuple(support_set.pairs)
-    for x, y in nodes:
-        if instance.cost[x][y] is INFINITY:
-            raise InstanceError(f"support pair ({x},{y}) has infinite cost")
-    edges = []
-    for _, y in nodes:
-        out = tuple(
-            idx
-            for idx, (x2, _) in enumerate(nodes)
-            if instance.cost[x2][y] is not INFINITY
-        )
-        edges.append(out)
-    return ReachGraph(nodes=nodes, edges=tuple(edges))
-
-
-def _strongly_connected_components(n, edges):
-    """Iterative Tarjan; components returned as sorted index tuples."""
+def _strongly_connected_components(n, arcs):
+    """Iterative Tarjan over arcs[u] = (node, weight) lists; components
+    returned as sorted index tuples."""
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -96,8 +74,8 @@ def _strongly_connected_components(n, edges):
                 stack.append(node)
                 on_stack[node] = True
             advanced = False
-            for pos in range(edge_pos, len(edges[node])):
-                succ = edges[node][pos]
+            for pos in range(edge_pos, len(arcs[node])):
+                succ = arcs[node][pos][0]
                 if index[succ] == -1:
                     work.append((node, pos + 1))
                     work.append((succ, 0))
@@ -122,37 +100,33 @@ def _strongly_connected_components(n, edges):
     return components
 
 
-def decompose(instance: Instance, support_set: SupportSet) -> ConnectivityDecomposition:
-    """Equivalence classes of the mutual-reachability relation.
+def decompose_graph(graph: ResidualGraph) -> ConnectivityDecomposition:
+    """Classes of a residual graph, ordered by their smallest source index.
 
-    Classes are ordered by their smallest source index; sources and targets
-    of distinct classes are automatically disjoint because pairs sharing a
-    coordinate are mutually reachable through their common finite entry.
+    A support pair's two nodes are joined both ways by its finite cost and
+    its support arc, so each class is one component; components are
+    disjoint, and so are the projections of distinct classes.
     """
-    graph = reach_graph(instance, support_set)
-    n = len(graph.nodes)
-    components = _strongly_connected_components(n, graph.edges)
+    x_size = graph.x_size
     classes = []
-    for comp in components:
-        pairs = tuple(sorted(graph.nodes[idx] for idx in comp))
-        sources = tuple(sorted({x for x, _ in pairs}))
-        targets = tuple(sorted({y for _, y in pairs}))
-        classes.append(
-            ConnectivityClass(sources=sources, targets=targets, pairs=pairs)
-        )
+    for comp in _strongly_connected_components(len(graph.arcs), graph.arcs):
+        pairs = tuple(sorted(
+            (x, u - x_size) for u in comp if u >= x_size
+            for x, _ in graph.arcs[u]
+        ))
+        if pairs:
+            classes.append(ConnectivityClass(
+                sources=tuple(u for u in comp if u < x_size),
+                targets=tuple(u - x_size for u in comp if u >= x_size),
+                pairs=pairs,
+            ))
     classes.sort(key=lambda cls: cls.sources[0])
-    seen_sources, seen_targets = set(), set()
-    for cls in classes:
-        if seen_sources & set(cls.sources) or seen_targets & set(cls.targets):
-            raise InstanceError("class projections overlap; support is inconsistent")
-        seen_sources.update(cls.sources)
-        seen_targets.update(cls.targets)
-    reach_edges = tuple(
-        (graph.nodes[u], graph.nodes[v])
-        for u in range(n)
-        for v in graph.edges[u]
-    )
-    return ConnectivityDecomposition(classes=tuple(classes), reach_edges=reach_edges)
+    return ConnectivityDecomposition(classes=tuple(classes))
+
+
+def decompose(instance: Instance, support_set: SupportSet) -> ConnectivityDecomposition:
+    """Equivalence classes of the mutual-reachability relation."""
+    return decompose_graph(residual_graph(instance, support_set))
 
 
 def is_connecting(instance: Instance, support_set: SupportSet) -> bool:

@@ -10,6 +10,7 @@ loudly instead of silently producing NaN-like garbage.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
@@ -119,10 +120,6 @@ def _restore_neg_infinity():
     return NEG_INFINITY
 
 
-def is_finite(value) -> bool:
-    return value is not INFINITY and value is not NEG_INFINITY
-
-
 class InstanceError(ValueError):
     """Raised when an instance, plan, or support violates its invariants."""
 
@@ -146,23 +143,28 @@ class Policy:
         return self.mode == "rational"
 
     def number(self, value):
-        """Coerce a parsed JSON scalar into this policy's number domain."""
+        """Coerce a parsed JSON scalar into this policy's number domain.
+
+        Raises InstanceError for anything but a finite number: infinite
+        cost is the INFINITY singleton, spelled "inf" on the wire.
+        """
         if value is INFINITY:
             return INFINITY
-        if self.exact:
-            if isinstance(value, Fraction):
-                return value
-            if isinstance(value, int):
-                return Fraction(value)
-            if isinstance(value, float):
+        try:
+            if self.exact:
+                if isinstance(value, (Fraction, int)):
+                    return Fraction(value)
                 return Fraction(str(value))
             if isinstance(value, str):
-                return Fraction(value)
-            raise InstanceError(f"cannot interpret {value!r} as a rational number")
-        if isinstance(value, str):
-            num, _, den = value.partition("/")
-            return float(num) / float(den) if den else float(num)
-        return float(value)
+                num, _, den = value.partition("/")
+                number = float(num) / float(den) if den else float(num)
+            else:
+                number = float(value)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InstanceError(f"cannot interpret {value!r} as a number") from exc
+        if not math.isfinite(number):
+            raise InstanceError(f"non-finite number {value!r}")
+        return number
 
     def is_zero(self, a) -> bool:
         return abs(a) <= self.tolerance
@@ -178,9 +180,6 @@ class Policy:
         if b is INFINITY:
             return True
         return a <= b + self.tolerance
-
-    def lt(self, a, b) -> bool:
-        return not self.leq(b, a)
 
 
 RATIONAL = Policy()
@@ -253,9 +252,6 @@ class SupportSet:
 
     def x_projection(self) -> tuple:
         return tuple(sorted({x for x, _ in self.pairs}))
-
-    def y_projection(self) -> tuple:
-        return tuple(sorted({y for _, y in self.pairs}))
 
 
 def _as_matrix(rows: Iterable[Iterable]) -> tuple:
@@ -407,12 +403,17 @@ def instance_from_dict(data: dict, policy: Policy = RATIONAL) -> Instance:
         )
     except KeyError as exc:
         raise InstanceError(f"missing instance field {exc}") from exc
+    except TypeError as exc:
+        raise InstanceError(f"malformed instance: {exc}") from exc
     return validate_instance(Instance(mu=mu, nu=nu, cost=cost), policy)
 
 
 def plan_from_dict(data, policy: Policy = RATIONAL) -> TransportPlan:
-    rows = data["plan"] if isinstance(data, dict) else data
-    mass = tuple(tuple(parse_scalar(v, policy) for v in row) for row in rows)
+    try:
+        rows = data["plan"] if isinstance(data, dict) else data
+        mass = tuple(tuple(parse_scalar(v, policy) for v in row) for row in rows)
+    except (KeyError, TypeError) as exc:
+        raise InstanceError(f"malformed plan: {exc!r}") from exc
     return TransportPlan(mass=mass)
 
 

@@ -1,19 +1,25 @@
-"""Cyclical-monotonicity checking and plan improvement.
+"""Cyclical-monotonicity checking and plan improvement on the residual
+graph of a plan's support.
 
-The exchange graph puts one node on every support pair; the edge from
-p = (x, y) to p' = (x', y') weighs cost(x, y') - cost(x, y), the price of
-letting x deliver to y' instead of y.  A directed cycle of negative total
-weight is exactly a family of support pairs whose rerouting strictly lowers
-the transport cost, and executing the reroute at the bottleneck mass yields
-a strictly cheaper plan with the same marginals.
+The residual graph has a node per source and per target, an arc x -> y of
+weight cost(x, y) for every finite cost and an arc y -> x of weight
+-cost(x, y) for every support pair.  A cycle y1 -> x1 -> y2 -> ... -> y1
+weighs the sum of cost(x_i, y_{i+1}) - cost(x_i, y_i), so a negative cycle
+is exactly a family of support pairs whose rerouting strictly lowers the
+transport cost; executing the reroute at the bottleneck mass yields a
+strictly cheaper plan with the same marginals.  The graph's strongly
+connected components are the connecting classes and its shortest distances
+to an anchor target are the chain potentials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import (
     INFINITY,
+    NEG_INFINITY,
     Instance,
     InstanceError,
     Policy,
@@ -23,24 +29,26 @@ from .core import (
     support,
     total_cost,
 )
+from .solver import integer_scale
 
 
 @dataclass(frozen=True)
-class ExchangeGraph:
-    """nodes[i] is a support pair; edges[i] lists (node index, weight)."""
+class ResidualGraph:
+    """Nodes 0..x_size-1 are the sources, x_size + y is target y; arcs[u]
+    lists (node, weight).
 
-    nodes: tuple
-    edges: tuple
+    In rational mode every weight and ``tolerance`` is an int, the cost
+    times ``scale``, the common denominator of the costs; in float mode
+    ``scale`` is None and the weights are the costs themselves.
+    """
 
-    def cycle_weight(self, node_indices):
-        acc = 0
-        for pos, u in enumerate(node_indices):
-            v = node_indices[(pos + 1) % len(node_indices)]
-            weight = dict(self.edges[u]).get(v)
-            if weight is None:
-                raise InstanceError("cycle uses a missing exchange edge")
-            acc += weight
-        return acc
+    x_size: int
+    arcs: tuple
+    scale: int | None
+    tolerance: object
+
+    def in_cost_units(self, weight):
+        return weight if self.scale is None else Fraction(weight, self.scale)
 
 
 @dataclass(frozen=True)
@@ -54,57 +62,119 @@ class ViolatingCycle:
         return len(self.pairs)
 
 
-def build_exchange_graph(instance: Instance, support_set: SupportSet) -> ExchangeGraph:
-    nodes = tuple(support_set.pairs)
-    for x, y in nodes:
-        if instance.cost[x][y] is INFINITY:
+def residual_graph(instance: Instance, support_set: SupportSet,
+                   policy: Policy = RATIONAL) -> ResidualGraph:
+    """The residual graph of the support; a support pair of infinite cost is
+    an error."""
+    x_size = instance.x_size
+    weight = {
+        (x, y): entry
+        for x, row in enumerate(instance.cost)
+        for y, entry in enumerate(row)
+        if entry is not INFINITY
+    }
+    scale, tolerance = None, policy.tolerance
+    if policy.exact:
+        scale, scaled = integer_scale([tolerance, *weight.values()])
+        tolerance, weight = scaled[0], dict(zip(weight, scaled[1:]))
+    arcs = [[] for _ in range(x_size + instance.y_size)]
+    for (x, y), w in weight.items():
+        arcs[x].append((x_size + y, w))
+    for x, y in support_set.pairs:
+        if (x, y) not in weight:
             raise InstanceError(f"support pair ({x},{y}) has infinite cost")
-    edges = []
-    for x, y in nodes:
-        base = instance.cost[x][y]
-        row = instance.cost[x]
-        out = []
-        for idx, (_, y2) in enumerate(nodes):
-            entry = row[y2]
-            if entry is not INFINITY:
-                out.append((idx, entry - base))
-        edges.append(tuple(out))
-    return ExchangeGraph(nodes=nodes, edges=tuple(edges))
+        arcs[x_size + y].append((x, -weight[(x, y)]))
+    return ResidualGraph(x_size=x_size, arcs=tuple(map(tuple, arcs)),
+                         scale=scale, tolerance=tolerance)
 
 
-def _negative_cycle(graph: ExchangeGraph, policy: Policy):
-    """Bellman-Ford negative-cycle search; returns node indices or None."""
-    n = len(graph.nodes)
-    if n == 0:
-        return None
-    zero = 0 * (policy.tolerance + 0)
-    dist = [zero] * n
-    parent = [-1] * n
-    witness = -1
-    for _ in range(n + 1):
-        witness = -1
-        for u in range(n):
+def _bellman_ford(arcs, dist, tolerance, passes):
+    """Relax every arc in node order, in place, for at most ``passes``
+    passes; dist entries are numbers or None for unreached nodes.
+
+    Returns each node's predecessor and the nodes relaxed in the last pass
+    run, which is empty when the distances settled.
+    """
+    parent = [-1] * len(arcs)
+    relaxed = []
+    for _ in range(passes):
+        relaxed = []
+        for u, out in enumerate(arcs):
             base = dist[u]
-            for v, weight in graph.edges[u]:
-                if v == u:
-                    continue
+            if base is None:
+                continue
+            for v, weight in out:
                 candidate = base + weight
-                if candidate < dist[v] - policy.tolerance:
+                current = dist[v]
+                if current is None or candidate < current - tolerance:
                     dist[v] = candidate
                     parent[v] = u
-                    witness = v
-        if witness == -1:
-            return None
-    node = witness
-    for _ in range(n):
+                    relaxed.append(v)
+        if not relaxed:
+            break
+    return parent, relaxed
+
+
+def find_violating_cycle(graph: ResidualGraph):
+    """Bellman-Ford from an all-zero start; a ViolatingCycle or None."""
+    dist = [0 * graph.tolerance] * len(graph.arcs)
+    # Source nodes are only lowered while targets are swept and targets only
+    # while sources are, so each pass adds one support arc to a settling
+    # path.  A simple path crosses each supported target at most once, so
+    # without a negative cycle the passes settle within (supported targets
+    # + 1).  A node relaxed in pass (supported targets + 2) has a
+    # predecessor walk with more support arcs than there are supported
+    # targets: the walk repeats a node, and so enters a negative cycle.
+    passes = 2 + sum(1 for out in graph.arcs[graph.x_size:] if out)
+    parent, relaxed = _bellman_ford(graph.arcs, dist, graph.tolerance, passes)
+    if not relaxed:
+        return None
+    walk, position = [], {}
+    node = relaxed[-1]
+    while node not in position:
+        position[node] = len(walk)
+        walk.append(node)
         node = parent[node]
-    cycle = [node]
-    walk = parent[node]
-    while walk != node:
-        cycle.append(walk)
-        walk = parent[walk]
-    cycle.reverse()
-    return cycle
+    cycle = walk[position[node]:][::-1]
+    pairs = []
+    weight = 0
+    for pos, u in enumerate(cycle):
+        v = cycle[(pos + 1) % len(cycle)]
+        weight += dict(graph.arcs[u])[v]
+        if u >= graph.x_size:
+            pairs.append((v, u - graph.x_size))
+    if not -weight > graph.tolerance:
+        return None
+    return ViolatingCycle(pairs=tuple(pairs), gap=graph.in_cost_units(-weight))
+
+
+def distances_to(graph: ResidualGraph, target: int, nodes) -> list:
+    """Shortest distance in weight units from each of the ``nodes`` to the
+    target node, over the arcs among them.
+
+    An entry is None when no path exists and NEG_INFINITY when a negative
+    cycle can be pumped on the way.
+    """
+    index = {u: pos for pos, u in enumerate(nodes)}
+    reverse = [[] for _ in nodes]
+    for u in nodes:
+        for v, weight in graph.arcs[u]:
+            if v in index:
+                reverse[index[v]].append((index[u], weight))
+    dist = [None] * len(nodes)
+    dist[index[target]] = 0 * graph.tolerance
+    # A shortest path has fewer arcs than there are nodes, so finite
+    # distances settle within len(nodes) - 1 passes.  Nodes lowered in the
+    # last pass, and all they lead to in the reversed arcs, lie behind a
+    # negative cycle.
+    _, relaxed = _bellman_ford(reverse, dist, graph.tolerance, len(nodes))
+    frontier = list(relaxed)
+    while frontier:
+        pos = frontier.pop()
+        if dist[pos] is not NEG_INFINITY:
+            dist[pos] = NEG_INFINITY
+            frontier.extend(v for v, _ in reverse[pos])
+    return dist
 
 
 def check_c_monotone(instance: Instance, plan: TransportPlan,
@@ -112,15 +182,7 @@ def check_c_monotone(instance: Instance, plan: TransportPlan,
     """None when no support cycle can be rerouted at a strict saving;
     otherwise a ViolatingCycle witness with its gap."""
     sup = support(plan, policy=policy)
-    graph = build_exchange_graph(instance, sup)
-    cycle = _negative_cycle(graph, policy)
-    if cycle is None:
-        return None
-    pairs = tuple(graph.nodes[idx] for idx in cycle)
-    gap = -graph.cycle_weight(cycle)
-    if not gap > policy.tolerance:
-        return None
-    return ViolatingCycle(pairs=pairs, gap=gap)
+    return find_violating_cycle(residual_graph(instance, sup, policy))
 
 
 def improve_plan(instance: Instance, plan: TransportPlan,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import InstanceError, parse_scalar, format_scalar, Policy, RATIONAL
+from .core import InstanceError, format_scalar, Policy, RATIONAL
 from .simplex import solve_lp
 
 MAX_PRODUCT_CELLS = 10**4
@@ -65,8 +65,8 @@ def make_mmi(weights, b_set) -> MultiMarginalInstance:
         if len(tup) != len(weights):
             raise InstanceError(f"tuple {tup} has wrong arity")
         for k, idx in enumerate(tup):
-            if not 0 <= idx < sizes[k]:
-                raise InstanceError(f"tuple index {idx} out of range in space {k}")
+            if type(idx) is not int or not 0 <= idx < sizes[k]:
+                raise InstanceError(f"tuple index {idx!r} out of range in space {k}")
         if tup not in seen:
             seen.add(tup)
             cleaned.append(tup)
@@ -76,11 +76,13 @@ def make_mmi(weights, b_set) -> MultiMarginalInstance:
 def mmi_from_dict(data: dict, policy: Policy = RATIONAL) -> MultiMarginalInstance:
     try:
         weights = [
-            [parse_scalar(v, policy) for v in space] for space in data["weights"]
+            [policy.number(v) for v in space] for space in data["weights"]
         ]
-        b_set = [tuple(int(i) for i in tup) for tup in data["B"]]
+        b_set = [tuple(tup) for tup in data["B"]]
     except KeyError as exc:
         raise InstanceError(f"missing field {exc}") from exc
+    except TypeError as exc:
+        raise InstanceError(f"malformed instance: {exc}") from exc
     return make_mmi(weights, b_set)
 
 

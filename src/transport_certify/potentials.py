@@ -5,14 +5,16 @@ The chain potential of a source x, gauged at an anchor support pair, is the
 cheapest total of cost differences along any hand-over chain of support
 pairs that starts at the anchor and finally serves x.  Equivalently it is
 
-    min over support pairs q of  [cost(x, y_q) + dist(q -> anchor)] - cost(anchor)
+    dist(x -> y_anchor) - cost(anchor)
 
-where dist is the shortest-path distance in the exchange graph.  Each
-mutual-reachability class gets its own gauged potential; classes are then
-glued by per-class offsets solving the difference constraints imposed by
-finite cross-class cost entries.  Because the class condensation is acyclic
-on finite instances those constraints always admit a solution, but the
-infeasible branch is kept and reports the blocking constraint.
+where dist is the shortest-path distance in the residual graph of the
+support (see ``monotonicity``).  Each connecting class gets its own gauged
+potential, computed on the arcs of its strongly connected component alone;
+classes are then glued by per-class offsets solving the difference
+constraints imposed by finite cross-class cost entries.  Because the class
+condensation is acyclic on finite instances those constraints always admit
+a solution, but the infeasible branch is kept and reports the blocking
+constraint.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .core import (
     TransportPlan,
     support,
 )
-from .connectivity import decompose
-from .monotonicity import build_exchange_graph, check_c_monotone
+from .connectivity import decompose_graph
+from .monotonicity import distances_to, find_violating_cycle, residual_graph
 
 
 @dataclass(frozen=True)
@@ -62,54 +64,24 @@ class CertifyResult:
     reason: str | None
     cycle: object = None
     blocking: tuple | None = None
-    class_count: int = 0
+    classes: tuple = ()
     report: VerifyReport | None = None
 
+    @property
+    def class_count(self) -> int:
+        return len(self.classes)
 
-def _distances_to_anchor(graph, anchor_index, policy):
-    """Shortest path from every node to the anchor in the exchange graph.
 
-    Returns a list with numbers, None for unreachable nodes, and
-    NEG_INFINITY where a negative cycle can be pumped on the way.
-    """
-    n = len(graph.nodes)
-    reverse = [[] for _ in range(n)]
-    for u in range(n):
-        for v, weight in graph.edges[u]:
-            if u != v:
-                reverse[v].append((u, weight))
-    dist = [None] * n
-    dist[anchor_index] = 0 * (policy.tolerance + 0)
-    for _ in range(n):
-        changed = False
-        for v in range(n):
-            if dist[v] is None:
-                continue
-            for u, weight in reverse[v]:
-                candidate = dist[v] + weight
-                if dist[u] is None or candidate < dist[u] - policy.tolerance:
-                    dist[u] = candidate
-                    changed = True
-        if not changed:
-            break
-    else:
-        unstable = set()
-        for v in range(n):
-            if dist[v] is None:
-                continue
-            for u, weight in reverse[v]:
-                if dist[v] + weight < dist[u] - policy.tolerance:
-                    unstable.add(u)
-        frontier = list(unstable)
-        while frontier:
-            v = frontier.pop()
-            for u, weight in reverse[v]:
-                if u not in unstable:
-                    unstable.add(u)
-                    frontier.append(u)
-        for u in unstable:
-            dist[u] = NEG_INFINITY
-    return dist
+def _gauged_potential(instance, graph, anchor, nodes) -> tuple:
+    """dist(x -> y_anchor) - cost(anchor) over the arcs among the nodes;
+    NEG_INFINITY where no chain reaches or a negative cycle is pumped."""
+    distances = distances_to(graph, graph.x_size + anchor[1], nodes)
+    anchor_cost = instance.cost[anchor[0]][anchor[1]]
+    phi = [NEG_INFINITY] * instance.x_size
+    for u, dist in zip(nodes, distances):
+        if u < graph.x_size and dist is not None and dist is not NEG_INFINITY:
+            phi[u] = graph.in_cost_units(dist) - anchor_cost
+    return tuple(phi)
 
 
 def chain_potential(instance: Instance, support_set: SupportSet, anchor,
@@ -123,30 +95,8 @@ def chain_potential(instance: Instance, support_set: SupportSet, anchor,
     anchor = tuple(anchor)
     if anchor not in support_set.pairs:
         raise InstanceError(f"anchor {anchor} not in support")
-    graph = build_exchange_graph(instance, support_set)
-    anchor_index = graph.nodes.index(anchor)
-    dist = _distances_to_anchor(graph, anchor_index, policy)
-    anchor_cost = instance.cost[anchor[0]][anchor[1]]
-    values = []
-    for x in range(instance.x_size):
-        row = instance.cost[x]
-        best = None
-        pumped = False
-        for idx, (_, y_q) in enumerate(graph.nodes):
-            entry = row[y_q]
-            if entry is INFINITY or dist[idx] is None:
-                continue
-            if dist[idx] is NEG_INFINITY:
-                pumped = True
-                break
-            candidate = entry + dist[idx]
-            if best is None or candidate < best:
-                best = candidate
-        if pumped or best is None:
-            values.append(NEG_INFINITY)
-        else:
-            values.append(best - anchor_cost)
-    return tuple(values)
+    graph = residual_graph(instance, support_set, policy)
+    return _gauged_potential(instance, graph, anchor, range(len(graph.arcs)))
 
 
 def c_transform(instance: Instance, phi, domain,
@@ -288,27 +238,23 @@ def certify_strong(instance: Instance, plan: TransportPlan,
     sup = support(plan, policy=policy)
     if len(sup.pairs) == 0:
         raise InstanceError("plan has empty support")
-    for x, y in sup.pairs:
-        if instance.cost[x][y] is INFINITY:
-            raise InstanceError("plan carries mass on an infinite-cost pair")
-    cycle = check_c_monotone(instance, plan, policy)
+    graph = residual_graph(instance, sup, policy)
+    cycle = find_violating_cycle(graph)
     if cycle is not None:
         return CertifyResult(
             ok=False, pair=None, reason="not c-monotone", cycle=cycle
         )
-    deco = decompose(instance, sup)
+    deco = decompose_graph(graph)
     classes = deco.classes
     phis = []
     psis = []
-    anchors = []
     for cls in classes:
-        anchor = cls.pairs[0]
-        class_support = SupportSet(pairs=cls.pairs)
-        phi = chain_potential(instance, class_support, anchor, policy)
+        # A chain between two nodes of a class never leaves their component.
+        nodes = cls.sources + tuple(graph.x_size + y for y in cls.targets)
+        phi = _gauged_potential(instance, graph, cls.pairs[0], nodes)
         psi = c_transform(instance, phi, cls.sources, policy)
         phis.append(phi)
         psis.append(psi)
-        anchors.append(anchor)
     offsets, blocking = _glue_offsets(instance, classes, phis, psis, policy)
     if offsets is None:
         return CertifyResult(
@@ -316,7 +262,7 @@ def certify_strong(instance: Instance, plan: TransportPlan,
             pair=None,
             reason="cross-class gluing infeasible; per-class certificates only",
             blocking=blocking,
-            class_count=len(classes),
+            classes=classes,
         )
     global_anchor = sup.pairs[0]
     anchor_class = deco.class_of_pair(global_anchor)
@@ -336,9 +282,9 @@ def certify_strong(instance: Instance, plan: TransportPlan,
             ok=False,
             pair=pair,
             reason="constructed potentials failed verification",
-            class_count=len(classes),
+            classes=classes,
             report=report,
         )
     return CertifyResult(
-        ok=True, pair=pair, reason=None, class_count=len(classes), report=report
+        ok=True, pair=pair, reason=None, classes=classes, report=report
     )

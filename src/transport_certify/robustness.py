@@ -74,6 +74,16 @@ def _toll(value, zero):
     return value if value > zero else zero
 
 
+def _extended_cost(instance: Instance, x_tolls, y_tolls, zero) -> tuple:
+    """Cost rows of an extension: each source row followed by x_tolls[x],
+    its tolls into the storage points, then one row per storage point k of
+    y_tolls[k], its tolls out to the targets, and zero cost inside storage."""
+    rows = [tuple(instance.cost[x]) + tuple(x_tolls[x])
+            for x in range(instance.x_size)]
+    rows += [tuple(tolls) + (zero,) * len(y_tolls) for tolls in y_tolls]
+    return tuple(rows)
+
+
 def build_extension(instance: Instance, pair: PotentialPair, z_size: int,
                     lam, policy: Policy = RATIONAL) -> ExtendedInstance:
     """Extension with tolls max(phi, 0) into storage and max(psi, 0) out.
@@ -87,15 +97,11 @@ def build_extension(instance: Instance, pair: PotentialPair, z_size: int,
         if v < 0:
             raise InstanceError("storage weights must be nonnegative")
     zero = 0 * (policy.tolerance + 0)
-    x_toll = [_toll(pair.phi[x], zero) for x in range(instance.x_size)]
-    y_toll = [_toll(pair.psi[y], zero) for y in range(instance.y_size)]
-    rows = []
-    for x in range(instance.x_size):
-        rows.append(tuple(instance.cost[x]) + (x_toll[x],) * z_size)
-    for _ in range(z_size):
-        rows.append(tuple(y_toll) + (zero,) * z_size)
+    x_tolls = [(_toll(pair.phi[x], zero),) * z_size for x in range(instance.x_size)]
+    y_tolls = [tuple(_toll(pair.psi[y], zero) for y in range(instance.y_size))] * z_size
     return ExtendedInstance(
-        base=instance, z_size=z_size, lam=lam, extended_cost=tuple(rows)
+        base=instance, z_size=z_size, lam=lam,
+        extended_cost=_extended_cost(instance, x_tolls, y_tolls, zero),
     )
 
 
@@ -189,24 +195,22 @@ def adversarial_search(instance: Instance, plan: TransportPlan, z_size: int,
     max_improvement = None
     improving_trial = None
     for trial in range(trials):
-        rows = []
-        for x in range(instance.x_size):
-            tolls = tuple(
-                floor_x[x] + _random_increment(rng, spread, policy)
-                for _ in range(z_size)
-            )
-            rows.append(tuple(instance.cost[x]) + tolls)
-        for _ in range(z_size):
-            tolls = tuple(
-                floor_y[y] + _random_increment(rng, spread, policy)
-                for y in range(instance.y_size)
-            )
-            rows.append(tolls + (zero,) * z_size)
-        ext_instance = Instance(
-            mu=tuple(instance.mu) + lam,
-            nu=tuple(instance.nu) + lam,
-            cost=tuple(rows),
-        )
+        # Seeded results depend on the draw order: every source's tolls,
+        # then every storage point's.
+        x_tolls = [
+            [floor_x[x] + _random_increment(rng, spread, policy)
+             for _ in range(z_size)]
+            for x in range(instance.x_size)
+        ]
+        y_tolls = [
+            [floor_y[y] + _random_increment(rng, spread, policy)
+             for y in range(instance.y_size)]
+            for _ in range(z_size)
+        ]
+        ext_instance = ExtendedInstance(
+            base=instance, z_size=z_size, lam=lam,
+            extended_cost=_extended_cost(instance, x_tolls, y_tolls, zero),
+        ).as_instance()
         defended_value = total_cost(ext_instance, defended)
         result = solve_exact(ext_instance, policy)
         if not result.feasible:

@@ -184,6 +184,13 @@ def _min_cost_flow(n_src, n_dst, arcs, supply, demand, zero):
     return flows, objective
 
 
+def integer_scale(values):
+    """(d, ints): the least common denominator d of the rational values and
+    each value times d, as an int."""
+    den = lcm(1, *(Fraction(v).denominator for v in values))
+    return den, [int(v * den) for v in values]
+
+
 def solve_transport(mu, nu, cost, policy: Policy = RATIONAL):
     """Solve min-cost transport for arbitrary balanced nonnegative marginals.
 
@@ -217,12 +224,11 @@ def solve_transport(mu, nu, cost, policy: Policy = RATIONAL):
             return None
 
     if policy.exact:
-        mass_den = lcm(*(Fraction(w).denominator for w in list(mu) + list(nu)))
-        cost_den = lcm(1, *(Fraction(c).denominator for _, _, c in arcs))
-        int_arcs = [(i, j, int(c * cost_den)) for i, j, c in arcs]
-        int_supply = [int(w * mass_den) for w in mu]
-        int_demand = [int(w * mass_den) for w in nu]
-        solved = _min_cost_flow(n_src, n_dst, int_arcs, int_supply, int_demand, 0)
+        mass_den, int_mass = integer_scale(list(mu) + list(nu))
+        cost_den, int_costs = integer_scale([c for _, _, c in arcs])
+        int_arcs = [(i, j, c) for (i, j, _), c in zip(arcs, int_costs)]
+        solved = _min_cost_flow(n_src, n_dst, int_arcs, int_mass[:n_src],
+                                int_mass[n_src:], 0)
         if solved is None:
             return None
         flows, objective = solved

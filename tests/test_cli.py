@@ -192,3 +192,54 @@ def test_batch_mode(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("== check ==") == 3
+
+
+VALID = '{"mu": [1], "nu": [1], "cost": [[1]]}'
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["solve"], '{"mu": [1], "nu": [1], "cost": [["abc"]]}'),
+    (["solve"], '{"mu": [1], "nu": [1], "cost": [["1/0"]]}'),
+    (["--float", "solve"], '{"mu": [1], "nu": [1], "cost": [["1/0"]]}'),
+    (["solve"], '{"mu": 5, "nu": [1], "cost": [[1]]}'),
+    (["solve"], '[1, 2]'),
+    (["solve"], '{"mu": [1], "nu": [1], "cost": [["nan"]]}'),
+    (["--float", "solve"], '{"mu": [1], "nu": [1], "cost": [["nan"]]}'),
+    (["solve"], '{"mu": [1], "nu": [1], "cost": [[NaN]]}'),
+    (["--float", "solve"], '{"mu": [1], "nu": [1], "cost": [[NaN]]}'),
+    (["solve"], '{"mu": [1], "nu": [1], "cost": [[Infinity]]}'),
+    (["--float", "solve"], '{"mu": [1], "nu": [1], "cost": [[Infinity]]}'),
+    (["dichotomy"], '{"weights": [[1], [1]], "B": [["x", 0]]}'),
+    (["dichotomy"], '{"weights": [[1], [1]], "B": [[0.5, 0]]}'),
+    (["dichotomy"], '{"weights": [[1], [1]], "B": [5]}'),
+    (["dichotomy"], '{"weights": [["inf"], [1]], "B": [[0, 0]]}'),
+    (["--float", "--tolerance", "-1", "solve"], VALID),
+    (["--tolerance", "-1", "solve"], VALID),
+    (["--float", "--tolerance", "nan", "solve"], VALID),
+    (["solve"], b"\xff\xfe not utf-8"),
+])
+def test_malformed_input_exits_two(tmp_path, capsys, argv, text):
+    path = tmp_path / "input.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code = main(argv + [str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err
+    assert "[PASS]" not in captured.out
+
+
+def test_malformed_plan_file_exits_two(tmp_path, capsys):
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(VALID)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text('{"plan": [["abc"]]}')
+    code = main(["check", str(inst_path), "--plan", str(plan_path)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_zero_tolerance_honoured():
+    from transport_certify.cli import _policy_from_args, build_parser
+
+    args = build_parser().parse_args(["--float", "--tolerance", "0", "solve", "x"])
+    assert _policy_from_args(args).tolerance == 0

@@ -12,7 +12,7 @@ from transport_certify import (
     decompose,
     is_connecting,
     marginals,
-    reach_graph,
+    residual_graph,
     solve_exact,
     support,
     total_cost,
@@ -28,32 +28,56 @@ from transport_certify.generators import (
 from conftest import permutation_plan, reachability_closure, uniform_instance
 
 
+def reach_sets(graph, pairs):
+    """For each support pair p, the indices of the pairs q it hands work to:
+    those whose source reaches p's target in the residual graph."""
+    index = {x: [] for x, _ in pairs}
+    for k, (x, _) in enumerate(pairs):
+        index[x].append(k)
+    result = []
+    for _, y in pairs:
+        # Walk the residual arcs backwards from p's target.
+        seen = {graph.x_size + y}
+        frontier = [graph.x_size + y]
+        while frontier:
+            v = frontier.pop()
+            for u, out in enumerate(graph.arcs):
+                if u not in seen and any(w == v for w, _ in out):
+                    seen.add(u)
+                    frontier.append(u)
+        result.append({k for x in seen if x in index for k in index[x]})
+    return result
+
+
 class TestReachGraph:
+    """The hand-over relation read off the residual graph as reachability."""
+
     def test_finite_costs_complete_digraph(self):
         inst = gen_random(3, 1)
         sup = support(permutation_plan(3, (0, 1, 2)))
-        graph = reach_graph(inst, sup)
-        assert all(len(edges) == 3 for edges in graph.edges)
+        reach = reach_sets(residual_graph(inst, sup), sup.pairs)
+        assert all(len(targets) == 3 for targets in reach)
 
     def test_triangular_grid_one_directional(self):
         inst = gen_zero_one(4)
         sup = support(zero_one_diagonal_plan(4))
-        graph = reach_graph(inst, sup)
-        for k, edges in enumerate(graph.edges):
-            assert set(edges) == set(range(k, 5))
+        reach = reach_sets(residual_graph(inst, sup), sup.pairs)
+        for k, targets in enumerate(reach):
+            assert targets == set(range(k, 5))
 
     def test_cyclic_shift_support_cycles(self):
         inst = gen_ap(3, 1, 2)
         sup = support(ap_shift_plan(3))
-        graph = reach_graph(inst, sup)
+        reach = reach_sets(residual_graph(inst, sup), sup.pairs)
         closure = reachability_closure(inst, sup.pairs)
         assert all(closure[a][b] for a in range(3) for b in range(3))
+        assert all(reach[a] == {0, 1, 2} for a in range(3))
 
     def test_infinite_support_pair_rejected(self):
         inst = uniform_instance([[0, "inf"], [1, 0]])
         bad_support = support(permutation_plan(2, (1, 0)))
         with pytest.raises(InstanceError, match="infinite"):
-            reach_graph(inst, bad_support)
+            residual_graph(inst, bad_support)
 
 
 class TestDecompose:

@@ -10,12 +10,12 @@ from transport_certify import (
     INFINITY,
     InstanceError,
     brute_force_optimal,
-    build_exchange_graph,
     check_c_monotone,
     improve_plan,
     improve_to_monotone,
     is_optimal,
     marginals,
+    residual_graph,
     solve_exact,
     support,
     total_cost,
@@ -30,44 +30,44 @@ from transport_certify.generators import (
 from conftest import exhaustive_violations, permutation_plan, uniform_instance
 
 
+def exchange_price(graph, pair, other):
+    """Price of letting pair's source deliver to other's target instead of
+    its own: the weight of the residual path y -> x -> y', in cost units."""
+    (x, y), (_, y2) = pair, other
+    back = dict(graph.arcs[graph.x_size + y])[x]
+    forward = dict(graph.arcs[x])[graph.x_size + y2]
+    return graph.in_cost_units(back + forward)
+
+
 class TestExchangeGraph:
+    """Exchange prices read off the residual graph as two-arc paths."""
+
     def test_diagonal_support_weights(self, square_instance):
         sup = support(permutation_plan(2, (0, 1)))
-        graph = build_exchange_graph(square_instance, sup)
-        weights = {
-            (graph.nodes[u], graph.nodes[v]): w
-            for u in range(2)
-            for v, w in graph.edges[u]
-        }
-        assert weights[((0, 0), (1, 1))] == 1
-        assert weights[((1, 1), (0, 0))] == 1
-        assert weights[((0, 0), (0, 0))] == 0
-        assert weights[((1, 1), (1, 1))] == 0
+        graph = residual_graph(square_instance, sup)
+        assert exchange_price(graph, (0, 0), (1, 1)) == 1
+        assert exchange_price(graph, (1, 1), (0, 0)) == 1
+        assert exchange_price(graph, (0, 0), (0, 0)) == 0
+        assert exchange_price(graph, (1, 1), (1, 1)) == 0
 
     def test_antidiagonal_cross_edges_negative(self, square_instance):
         sup = support(permutation_plan(2, (1, 0)))
-        graph = build_exchange_graph(square_instance, sup)
-        weights = {
-            (graph.nodes[u], graph.nodes[v]): w
-            for u in range(2)
-            for v, w in graph.edges[u]
-            if u != v
-        }
-        assert weights[((0, 1), (1, 0))] == -1
-        assert weights[((1, 0), (0, 1))] == -1
+        graph = residual_graph(square_instance, sup)
+        assert exchange_price(graph, (0, 1), (1, 0)) == -1
+        assert exchange_price(graph, (1, 0), (0, 1)) == -1
 
     def test_single_pair_self_loop_only(self):
         inst = uniform_instance([[2]])
         sup = support(permutation_plan(1, (0,)))
-        graph = build_exchange_graph(inst, sup)
-        assert graph.nodes == ((0, 0),)
-        assert graph.edges == (((0, 0),),)
+        graph = residual_graph(inst, sup)
+        assert graph.arcs == (((1, 2),), ((0, -2),))
+        assert exchange_price(graph, (0, 0), (0, 0)) == 0
 
     def test_infinite_support_cost_rejected(self):
         inst = uniform_instance([[0, 1], [1, "inf"]])
         sup = support(permutation_plan(2, (0, 1)))
         with pytest.raises(InstanceError, match="infinite"):
-            build_exchange_graph(inst, sup)
+            residual_graph(inst, sup)
 
 
 class TestCheckCMonotone:
@@ -81,11 +81,14 @@ class TestCheckCMonotone:
         assert cycle.gap == 2
 
     def test_cyclic_shift_three_cycle(self):
-        inst = gen_ap(3, 1, 2)
-        cycle = check_c_monotone(inst, ap_shift_plan(3))
-        assert cycle is not None
-        assert len(cycle.pairs) == 3
-        assert cycle.gap == 3
+        # N=60 is the longest possible cycle: it pins the pass bound and
+        # the predecessor walk of the detector.
+        for n in (3, 60):
+            inst = gen_ap(n, 1, 2)
+            cycle = check_c_monotone(inst, ap_shift_plan(n))
+            assert cycle is not None
+            assert len(cycle.pairs) == n
+            assert cycle.gap == n
 
     def test_cycle_pairs_unique_and_reroutes_finite(self):
         for seed in range(30):

@@ -14,6 +14,7 @@ from transport_certify import (
     certify_strong,
     chain_potential,
     check_c_monotone,
+    residual_graph,
     solve_exact,
     support,
     total_cost,
@@ -209,6 +210,21 @@ class TestCertifyStrong:
         cert = certify_strong(inst, plan)
         assert cert.ok
         assert cert.class_count == 2
+        assert [cls.sources for cls in cert.classes] == [(0, 1), (2, 3, 4)]
+
+    def test_builds_one_residual_graph(self, monkeypatch):
+        from transport_certify import potentials
+
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return residual_graph(*args)
+
+        monkeypatch.setattr(potentials, "residual_graph", counting)
+        inst = gen_blocks((2, 3), seed=5)
+        assert certify_strong(inst, solve_exact(inst).plan).ok
+        assert len(built) == 1
 
     def test_triangular_grid_certificate_and_growth(self):
         n = 16
