@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -321,9 +322,13 @@ def _batch_worker(payload):
         return path, report, 0 if report.all_passed else 1
     except (InstanceError, OSError, json.JSONDecodeError,
             UnicodeDecodeError) as exc:
-        failure = Report(command=args.command)
-        failure.add("input parsed", False, str(exc))
-        return path, failure, 2
+        detail = str(exc)
+    except Exception as exc:  # one bad file must not sink the whole batch
+        traceback.print_exc()
+        detail = f"{type(exc).__name__}: {exc}"
+    failure = Report(command=args.command)
+    failure.add("input parsed", False, detail)
+    return path, failure, 2
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -189,7 +189,6 @@ def adversarial_search(instance: Instance, plan: TransportPlan, z_size: int,
         floor_x = [zero] * instance.x_size
         floor_y = [zero] * instance.y_size
         floored = False
-    defended = extended_plan(plan, z_size, lam)
     spread = _cost_spread(instance, policy)
     rng = random.Random(seed)
     max_improvement = None
@@ -211,11 +210,12 @@ def adversarial_search(instance: Instance, plan: TransportPlan, z_size: int,
             base=instance, z_size=z_size, lam=lam,
             extended_cost=_extended_cost(instance, x_tolls, y_tolls, zero),
         ).as_instance()
-        defended_value = total_cost(ext_instance, defended)
         result = solve_exact(ext_instance, policy)
         if not result.feasible:
             raise InstanceError("extended instance infeasible despite finite tolls")
-        improvement = defended_value - result.value
+        # The defended plan puts no mass on a toll arc, so its extended
+        # cost is plan_value whatever the tolls.
+        improvement = plan_value - result.value
         if max_improvement is None or improvement > max_improvement:
             max_improvement = improvement
         if improvement > policy.tolerance and improving_trial is None:

@@ -2,10 +2,13 @@
 
 Infinite-cost arcs are deleted outright rather than big-M-ed: a problem is
 infeasible exactly when the finite-arc bipartite graph admits no plan with
-the prescribed marginals.  In rational mode the flow network is rescaled to
-integers (common denominators of weights and costs) so the successive
-shortest path computation is exact and fast; float mode works directly on
-floats with the policy tolerance.
+the prescribed marginals, which the one successive shortest path pass finds
+as the sink becoming unreachable while supply remains.  Each of its phases
+runs one Dijkstra and then routes flow along every path that is tight under
+the updated potentials (the primal-dual method).  In rational mode the flow
+network is rescaled to integers (common denominators of weights and costs)
+so the computation is exact and fast; float mode works directly on floats
+with the policy tolerance.
 """
 
 from __future__ import annotations
@@ -36,100 +39,70 @@ class OptimalResult:
     feasible: bool
 
 
-class _Network:
-    """Residual network with edge-pair storage (edge i paired with i^1)."""
-
-    def __init__(self, n_nodes):
-        self.adj = [[] for _ in range(n_nodes)]
-        self.to = []
-        self.cap = []
-        self.cost = []
-
-    def add_edge(self, u, v, cap, cost):
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(cap)
-        self.cost.append(cost)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0 * cap)
-        self.cost.append(-cost)
-
-
-def _max_flow_value(n_src, n_dst, arcs, supply, demand, zero):
-    """Edmonds-Karp max flow from a super source through the finite arcs."""
-    n = n_src + n_dst + 2
-    source, sink = n, n + 1
-    net = _Network(n + 2)
-    big = sum(supply)
-    for i, s in enumerate(supply):
-        if s > zero:
-            net.add_edge(source, i, s, 0)
-    for j, d in enumerate(demand):
-        if d > zero:
-            net.add_edge(n_src + j, sink, d, 0)
-    for i, j in arcs:
-        net.add_edge(i, n_src + j, big, 0)
-    flow = 0 * big
-    while True:
-        prev_edge = [-1] * (n + 2)
-        prev_edge[source] = -2
-        queue = [source]
-        while queue and prev_edge[sink] == -1:
-            nxt = []
-            for u in queue:
-                for eid in net.adj[u]:
-                    v = net.to[eid]
-                    if prev_edge[v] == -1 and net.cap[eid] > zero:
-                        prev_edge[v] = eid
-                        nxt.append(v)
-            queue = nxt
-        if prev_edge[sink] == -1:
-            return flow
-        bottleneck = None
-        v = sink
-        while v != source:
-            eid = prev_edge[v]
-            if bottleneck is None or net.cap[eid] < bottleneck:
-                bottleneck = net.cap[eid]
-            v = net.to[eid ^ 1]
-        v = sink
-        while v != source:
-            eid = prev_edge[v]
-            net.cap[eid] -= bottleneck
-            net.cap[eid ^ 1] += bottleneck
-            v = net.to[eid ^ 1]
-        flow += bottleneck
-
-
 def _min_cost_flow(n_src, n_dst, arcs, supply, demand, zero):
-    """Successive shortest paths with Dijkstra over reduced costs.
+    """Primal-dual successive shortest paths over reduced costs.
 
-    ``arcs`` is a list of (i, j, cost) with cost >= 0.  Returns a dict
-    (i, j) -> flow and the objective, or None when the remaining supply
-    cannot be routed.  All arithmetic stays in the caller's number domain.
+    ``arcs`` is a list of (i, j, cost) with cost >= 0.  Each phase runs one
+    Dijkstra, raises the node potentials by the distances (capped at the
+    sink's), augments along the Dijkstra path and then along every residual
+    path whose arcs are all tight, reduced cost ``cost + p[u] - p[v] <=
+    zero``, before the next Dijkstra.  Returns a dict (i, j) -> flow and the
+    objective, or None when the sink becomes unreachable while supply
+    remains, i.e. the arcs cannot carry the marginals.  All arithmetic stays
+    in the caller's number domain.
     """
     n = n_src + n_dst + 2
     source, sink = n_src + n_dst, n_src + n_dst + 1
-    net = _Network(n)
     big = sum(supply)
-    for i, s in enumerate(supply):
-        if s > zero:
-            net.add_edge(source, i, s, 0 * big)
-    for j, d in enumerate(demand):
-        if d > zero:
-            net.add_edge(n_src + j, sink, d, 0 * big)
-    arc_edge = {}
-    for i, j, cost in arcs:
-        arc_edge[(i, j)] = len(net.to)
-        net.add_edge(i, n_src + j, big, cost)
+    nil = 0 * big
+    edges = [(i, n_src + j, big, c) for i, j, c in arcs]
+    edges += [(source, i, s, nil) for i, s in enumerate(supply) if s > zero]
+    edges += [(n_src + j, sink, d, nil) for j, d in enumerate(demand) if d > zero]
+    # Residual network: edge 2k is the k-th of ``edges``, 2k+1 its reverse.
+    adj = [[] for _ in range(n)]
+    to, cap, cost = [], [], []
+    for u, v, c, w in edges:
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (c, nil)
+        cost += (w, -w)
 
-    potential = [0 * big] * n
+    potential = [nil] * n
     unreached = object()
     remaining = big
+
+    def augment(prev_edge):
+        path = []
+        v = sink
+        while v != source:
+            path.append(prev_edge[v])
+            v = to[prev_edge[v] ^ 1]
+        bottleneck = min(remaining, *(cap[eid] for eid in path))
+        for eid in path:
+            cap[eid] -= bottleneck
+            cap[eid ^ 1] += bottleneck
+        return bottleneck
+
+    def tight_path():
+        """Breadth-first path from source to sink over tight residual arcs."""
+        prev_edge = [-1] * n
+        prev_edge[source] = -2
+        queue = [source]
+        for u in queue:
+            for eid in adj[u]:
+                v = to[eid]
+                if (prev_edge[v] == -1 and cap[eid] > zero
+                        and cost[eid] + potential[u] - potential[v] <= zero):
+                    prev_edge[v] = eid
+                    if v == sink:
+                        return prev_edge
+                    queue.append(v)
+        return None
+
     while remaining > zero:
         dist = [unreached] * n
-        dist[source] = 0 * big
+        dist[source] = nil
         prev_edge = [-1] * n
         done = [False] * n
         heap = [(dist[source], source)]
@@ -140,13 +113,13 @@ def _min_cost_flow(n_src, n_dst, arcs, supply, demand, zero):
             done[u] = True
             if u == sink:
                 break
-            for eid in net.adj[u]:
-                if net.cap[eid] <= zero:
+            for eid in adj[u]:
+                if cap[eid] <= zero:
                     continue
-                v = net.to[eid]
+                v = to[eid]
                 if done[v]:
                     continue
-                nd = d_u + net.cost[eid] + potential[u] - potential[v]
+                nd = d_u + cost[eid] + potential[u] - potential[v]
                 if dist[v] is unreached or nd < dist[v]:
                     dist[v] = nd
                     prev_edge[v] = eid
@@ -159,36 +132,27 @@ def _min_cost_flow(n_src, n_dst, arcs, supply, demand, zero):
                 potential[v] += d_sink
             else:
                 potential[v] += dist[v]
-        bottleneck = remaining
-        v = sink
-        while v != source:
-            eid = prev_edge[v]
-            if net.cap[eid] < bottleneck:
-                bottleneck = net.cap[eid]
-            v = net.to[eid ^ 1]
-        v = sink
-        while v != source:
-            eid = prev_edge[v]
-            net.cap[eid] -= bottleneck
-            net.cap[eid ^ 1] += bottleneck
-            v = net.to[eid ^ 1]
-        remaining -= bottleneck
+        # The Dijkstra path goes first: it is tight by construction, while
+        # float rounding may leave its reduced costs a hair above zero.
+        while prev_edge is not None and remaining > zero:
+            remaining -= augment(prev_edge)
+            prev_edge = tight_path()
 
     flows = {}
-    objective = 0 * big
-    for (i, j), eid in arc_edge.items():
-        sent = net.cap[eid ^ 1]
+    objective = nil
+    for k, (i, j, c) in enumerate(arcs):
+        sent = cap[2 * k + 1]
         if sent > zero:
             flows[(i, j)] = sent
-            objective += sent * net.cost[eid]
+            objective += sent * c
     return flows, objective
 
 
 def integer_scale(values):
     """(d, ints): the least common denominator d of the rational values and
     each value times d, as an int."""
-    den = lcm(1, *(Fraction(v).denominator for v in values))
-    return den, [int(v * den) for v in values]
+    den = lcm(1, *(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def solve_transport(mu, nu, cost, policy: Policy = RATIONAL):
@@ -202,51 +166,32 @@ def solve_transport(mu, nu, cost, policy: Policy = RATIONAL):
     total = sum(mu)
     if not policy.eq(total, sum(nu)):
         raise InstanceError(f"unbalanced marginals: {total} vs {sum(nu)}")
-    arcs = [
-        (i, j, cost[i][j])
-        for i in range(n_src)
-        for j in range(n_dst)
-        if cost[i][j] is not INFINITY
-    ]
-    for _, _, c in arcs:
-        if c < 0:
-            raise InstanceError("solver requires nonnegative costs")
-    if total <= policy.tolerance:
-        zero_mass = [[0 * total] * n_dst for _ in range(n_src)]
-        return tuple(tuple(row) for row in zero_mass), 0 * total
-
-    has_deleted = len(arcs) < n_src * n_dst
-    if has_deleted:
-        flow = _max_flow_value(
-            n_src, n_dst, [(i, j) for i, j, _ in arcs], mu, nu, policy.tolerance
-        )
-        if not policy.eq(flow, total):
-            return None
-
+    cells = [(i, j) for i in range(n_src) for j in range(n_dst)
+             if cost[i][j] is not INFINITY]
+    costs = [cost[i][j] for i, j in cells]
+    masses = list(mu) + list(nu)
     if policy.exact:
-        mass_den, int_mass = integer_scale(list(mu) + list(nu))
-        cost_den, int_costs = integer_scale([c for _, _, c in arcs])
-        int_arcs = [(i, j, c) for (i, j, _), c in zip(arcs, int_costs)]
-        solved = _min_cost_flow(n_src, n_dst, int_arcs, int_mass[:n_src],
-                                int_mass[n_src:], 0)
-        if solved is None:
-            return None
-        flows, objective = solved
-        mass = [[Fraction(0)] * n_dst for _ in range(n_src)]
-        for (i, j), sent in flows.items():
-            mass[i][j] = Fraction(sent, mass_den)
-        value = Fraction(objective, mass_den * cost_den)
-    else:
-        solved = _min_cost_flow(
-            n_src, n_dst, arcs, list(mu), list(nu), policy.tolerance
-        )
-        if solved is None:
-            return None
-        flows, value = solved
-        mass = [[0.0] * n_dst for _ in range(n_src)]
-        for (i, j), sent in flows.items():
-            mass[i][j] = sent
-    return tuple(tuple(row) for row in mass), value
+        mass_den, masses = integer_scale(masses)
+        cost_den, costs = integer_scale(costs)
+    if costs and min(costs) < 0:
+        raise InstanceError("solver requires nonnegative costs")
+    nil = Fraction(0) if policy.exact else 0.0
+    mass = [[nil] * n_dst for _ in range(n_src)]
+    if total <= policy.tolerance:
+        return tuple(map(tuple, mass)), nil
+    solved = _min_cost_flow(
+        n_src, n_dst, [(i, j, c) for (i, j), c in zip(cells, costs)],
+        masses[:n_src], masses[n_src:], 0 if policy.exact else policy.tolerance,
+    )
+    if solved is None:
+        return None
+    flows, value = solved
+    if policy.exact:
+        flows = {cell: Fraction(sent, mass_den) for cell, sent in flows.items()}
+        value = Fraction(value, mass_den * cost_den)
+    for (i, j), sent in flows.items():
+        mass[i][j] = sent
+    return tuple(map(tuple, mass)), value
 
 
 def solve_exact(instance: Instance, policy: Policy = RATIONAL) -> OptimalResult:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from transport_certify import cli
 from transport_certify.cli import main
 from transport_certify import instance_to_dict, make_plan
 from transport_certify.generators import ap_shift_plan, gen_ap, gen_random
@@ -192,6 +193,23 @@ def test_batch_mode(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("== check ==") == 3
+
+
+def test_batch_worker_reports_unexpected_exception(tmp_path, monkeypatch,
+                                                   capsys):
+    def broken(args):
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    path = str(tmp_path / "i.json")
+    args = cli.build_parser().parse_args(["check", "ignored", "--batch", "d"])
+    out_path, report, status = cli._batch_worker((args, path))
+    assert (out_path, status) == (path, 2)
+    verdict = report.to_dict()["verdicts"]
+    assert [v["claim"] for v in verdict] == ["input parsed"]
+    assert verdict[0]["passed"] is False
+    assert verdict[0]["witness"] == "RuntimeError: handler broke"
+    assert "Traceback" in capsys.readouterr().err
 
 
 VALID = '{"mu": [1], "nu": [1], "cost": [[1]]}'

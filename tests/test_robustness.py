@@ -1,11 +1,13 @@
 """Storage extensions, the toll defense, and the sampled adversary."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from transport_certify import (
     INFINITY,
+    ExtendedInstance,
     InstanceError,
     NEG_INFINITY,
     PotentialPair,
@@ -26,6 +28,7 @@ from transport_certify.generators import (
     gen_zero_one,
     zero_one_diagonal_plan,
 )
+from transport_certify.robustness import _extended_cost
 from conftest import permutation_plan, uniform_instance
 
 
@@ -158,6 +161,27 @@ class TestRobustDefense:
 
 
 class TestAdversarialSearch:
+    def test_defended_plan_costs_plan_value_under_any_tolls(self):
+        # The search scores each trial against the base plan's cost: the
+        # defended plan puts no mass on a toll arc.
+        rng = random.Random(31)
+        for seed in range(6):
+            inst = gen_random(5, 200 + seed, inf_density=0.3 * (seed % 2))
+            plan = solve_exact(inst).plan
+            for z in (1, 2):
+                lam = [Fraction(rng.randint(1, 4), 4) for _ in range(z)]
+                x_tolls = [[Fraction(rng.randint(0, 40), 8) for _ in range(z)]
+                           for _ in range(inst.x_size)]
+                y_tolls = [[Fraction(rng.randint(0, 40), 8)
+                            for _ in range(inst.y_size)] for _ in range(z)]
+                ext = ExtendedInstance(
+                    base=inst, z_size=z, lam=tuple(lam),
+                    extended_cost=_extended_cost(inst, x_tolls, y_tolls,
+                                                 Fraction(0)),
+                ).as_instance()
+                assert (total_cost(ext, extended_plan(plan, z, lam))
+                        == total_cost(inst, plan))
+
     def test_certified_plan_never_beaten(self):
         for seed in range(5):
             inst = gen_random(4, 70 + seed)

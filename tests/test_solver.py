@@ -1,6 +1,7 @@
 """Exact solver: agreement with enumeration, feasibility, monotone value."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,22 @@ from transport_certify import (
     InstanceError,
     Instance,
     brute_force_optimal,
+    float_policy,
+    instance_from_dict,
+    instance_to_dict,
     is_optimal,
     solve_exact,
     total_cost,
     validate_instance,
     make_instance,
 )
-from transport_certify.generators import gen_ap, gen_random, ap_shift_plan
+from transport_certify.generators import (
+    ap_shift_plan,
+    gen_ap,
+    gen_blocks,
+    gen_random,
+    gen_zero_one,
+)
 from conftest import permutation_plan, random_feasible_plan, uniform_instance
 
 
@@ -143,14 +153,109 @@ class TestSolverInvariants:
         assert solve_exact(inst2).feasible
 
     def test_float_mode_agrees_with_rational(self):
-        from transport_certify import float_policy, instance_from_dict, instance_to_dict
-
         policy = float_policy()
-        for seed in range(10):
-            inst = gen_random(4, 3000 + seed, inf_density=0.25)
+        cases = [(4, 0.25)] * 10 + [(n, 0.5) for n in range(2, 13)] * 2
+        for seed, (n, inf_density) in enumerate(cases):
+            inst = gen_random(n, 3000 + seed, inf_density=inf_density)
             as_float = instance_from_dict(instance_to_dict(inst), policy)
             exact = solve_exact(inst)
             approx = solve_exact(as_float, policy)
             assert exact.feasible == approx.feasible
             if exact.feasible:
                 assert abs(float(exact.value) - approx.value) < 1e-9
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"),
+                        reason="needs SIGALRM to bound the run time")
+    def test_float_mode_terminates_when_rounding_leaves_no_tight_arc(self):
+        # Float rounding can leave a shortest path's reduced costs about
+        # 1e-16 above zero, so that no path passes the tightness test right
+        # after a Dijkstra; every phase must still make progress.
+        def give_up(signum, frame):
+            raise TimeoutError
+
+        policy = float_policy()
+        cases = [(12, 5032, 0.3), (8, 8003, 0.3), (8, 8002, 0.5),
+                 (10, 10012, 0)]
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.alarm(5)
+        approx = None
+        try:
+            approx = [
+                solve_exact(instance_from_dict(
+                    instance_to_dict(gen_random(n, seed, inf_density=d)),
+                    policy), policy).value
+                for n, seed, d in cases
+            ]
+        except TimeoutError:
+            pass
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert approx is not None, "float solve did not finish within 5 s"
+        exact = [solve_exact(gen_random(n, seed, inf_density=d)).value
+                 for n, seed, d in cases]
+        assert exact[0] == Fraction(23, 48)
+        for a, e in zip(approx, exact):
+            assert abs(a - float(e)) < 1e-9
+
+
+def _oracle_instances():
+    """About 300 seeded instances: gen_random over N 2..15 and infinite
+    density 0..0.85 (every other one with random marginals), plus ap,
+    zero-one and block-diagonal families."""
+    rng = random.Random(2024)
+    densities = (0, 0.2, 0.4, 0.55, 0.7, 0.85)
+    for n in range(2, 16):
+        for k, inf_density in enumerate(densities):
+            for rep in range(3):
+                inst = gen_random(n, 40000 + 100 * n + 10 * k + rep,
+                                  inf_density=inf_density)
+                if rep == 1:
+                    mu = [rng.randint(1, 9) for _ in range(n)]
+                    nu = [rng.randint(1, 9) for _ in range(n)]
+                    inst = Instance(
+                        mu=tuple(Fraction(m, sum(mu)) for m in mu),
+                        nu=tuple(Fraction(v, sum(nu)) for v in nu),
+                        cost=inst.cost,
+                    )
+                yield inst
+    for n in range(2, 12):
+        yield gen_ap(n, 1, 2)
+        yield gen_ap(n, 3, Fraction(1, 2))
+        yield gen_zero_one(n)
+    for seed in range(20):
+        yield gen_blocks((1 + seed % 3, 2, 3 + seed % 2), seed)
+
+
+def test_solver_matches_linprog_oracle():
+    pytest.importorskip("scipy")
+    from scipy.optimize import linprog
+
+    policy = float_policy()
+    counts = {True: 0, False: 0}
+    for inst in _oracle_instances():
+        n_src, n_dst = inst.x_size, inst.y_size
+        cells = [(i, j) for i in range(n_src) for j in range(n_dst)
+                 if inst.cost[i][j] is not INFINITY]
+        rows = [[1.0 if i == r else 0.0 for i, _ in cells] for r in range(n_src)]
+        rows += [[1.0 if j == c else 0.0 for _, j in cells] for c in range(n_dst)]
+        reference = linprog(
+            [float(inst.cost[i][j]) for i, j in cells],
+            A_eq=rows,
+            b_eq=[float(w) for w in inst.mu + inst.nu],
+            bounds=[(0, None)] * len(cells),
+            method="highs",
+        ) if cells else None
+        feasible = reference is not None and reference.status == 0
+        assert feasible or reference is None or reference.status == 2
+        result = solve_exact(inst)
+        assert result.feasible == feasible
+        approx = solve_exact(instance_from_dict(instance_to_dict(inst), policy),
+                             policy)
+        assert approx.feasible == feasible
+        counts[feasible] += 1
+        if feasible:
+            assert abs(float(result.value) - reference.fun) < 1e-7
+            assert total_cost(inst, result.plan) == result.value
+            assert abs(approx.value - float(result.value)) < 1e-9
+    assert counts[True] >= 150 and counts[False] >= 60
