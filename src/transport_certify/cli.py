@@ -30,13 +30,11 @@ from .core import (
     instance_to_dict,
     load_instance,
     plan_from_dict,
-    support,
-    total_cost,
     validate_plan,
 )
 from .generators import GENERATORS, generate
-from .monotonicity import check_c_monotone, improve_plan
-from .multimarginal import check_dichotomy, l_value, load_mmi, p_value
+from .monotonicity import improve_to_monotone
+from .multimarginal import check_dichotomy, load_mmi
 from .potentials import certify_strong
 from .robustness import adversarial_search, check_robust_defense
 from .solver import is_optimal, solve_exact
@@ -127,26 +125,38 @@ def _cycle_witness(cycle):
 
 
 def _policy_from_args(args) -> Policy:
+    """The arithmetic policy, once the numeric options are in range:
+    --z-size and --max-iters at least 0, --trials at least 1, --tolerance
+    and --lambda finite and at least 0."""
+    for name, least in (("z_size", 0), ("max_iters", 0), ("trials", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            raise InstanceError(f"{flag} must be >= {least}, got {value}")
     tolerance = getattr(args, "tolerance", 1e-9)
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise InstanceError(f"tolerance must be a finite number >= 0, got {tolerance}")
+    for flag, value in (("--tolerance", tolerance),
+                        ("--lambda", getattr(args, "lam", 0.0))):
+        if not (math.isfinite(value) and value >= 0):
+            raise InstanceError(f"{flag} must be a finite number >= 0, got {value}")
     if getattr(args, "float_mode", False):
         return float_policy(tolerance)
     return RATIONAL
 
 
 def _load_plan(args, instance, embedded, policy):
+    """(plan, source, optimum): the --plan file, else the embedded plan, else
+    the solver's plan with its ``solve_exact`` result as optimum."""
     if getattr(args, "plan", None):
         with open(args.plan) as handle:
             plan = plan_from_dict(json.load(handle), policy)
     elif embedded is not None:
         plan = embedded
     else:
-        result = solve_exact(instance, policy)
-        if not result.feasible:
+        optimum = solve_exact(instance, policy)
+        if not optimum.feasible:
             raise InstanceError("no finite plan exists and none was provided")
-        return result.plan, "solver"
-    return validate_plan(instance, plan, policy), "input"
+        return optimum.plan, "solver", optimum
+    return validate_plan(instance, plan, policy), "input", None
 
 
 def cmd_solve(args) -> Report:
@@ -169,53 +179,56 @@ def cmd_check(args) -> Report:
     policy = _policy_from_args(args)
     report = Report(command="check")
     instance, embedded = load_instance(args.instance, policy)
-    plan, source = _load_plan(args, instance, embedded, policy)
+    plan, source, optimum = _load_plan(args, instance, embedded, policy)
     report.notes["plan_source"] = source
     report.notes["support_threshold"] = _fmt(policy.support_threshold)
+    # The defense of (3) is built from the certificate of (4).
+    report.notes["derived"] = {"(3)": "(4)"}
     z_size = args.z_size
     lam = tuple([args.lam] * z_size)
 
     with _Timer(report, "optimal"):
         try:
-            optimal, gap = is_optimal(instance, plan, policy)
+            if optimum is None:
+                optimum = solve_exact(instance, policy)
+            optimal, gap = is_optimal(instance, plan, optimum, policy)
             report.add("(1) optimal", optimal, {"gap": _fmt(gap)})
         except InstanceError as exc:
             optimal = False
             report.add("(1) optimal", False, str(exc))
-    with _Timer(report, "c-monotone"):
-        cycle = check_c_monotone(instance, plan, policy)
-        monotone = cycle is None
-        report.add("(2) cyclically monotone", monotone,
-                   None if monotone else _cycle_witness(cycle))
+    with _Timer(report, "strong"):
+        cert = certify_strong(instance, plan, policy)
+    monotone = cert.cycle is None
+    report.add("(2) cyclically monotone", monotone,
+               None if monotone else _cycle_witness(cert.cycle))
     with _Timer(report, "robust"):
         try:
-            defense = check_robust_defense(instance, plan, z_size, lam, policy)
+            defense = check_robust_defense(instance, plan, cert, z_size, lam,
+                                           policy)
             robust = defense.ok
             witness = {"extended_gap": _fmt(defense.gap),
                        "z_size": z_size, "lambda": _fmt(list(lam)),
-                       "classes": defense.certificate.class_count}
+                       "classes": cert.class_count}
         except InstanceError as exc:
             robust = False
             witness = str(exc)
         report.add("(3) robustly optimal (defense mode)", robust, witness)
-    with _Timer(report, "strong"):
-        cert = certify_strong(instance, plan, policy)
-        if cert.ok:
-            witness = {
-                "classes": cert.class_count,
-                "phi": _fmt(list(cert.pair.phi)),
-                "psi": _fmt(list(cert.pair.psi)),
-                "anchor": list(cert.pair.anchor),
-            }
-            if cert.class_count > 1:
-                witness["decomposition"] = [
-                    {"C": list(cls.sources), "D": list(cls.targets),
-                     "pairs": [list(p) for p in cls.pairs]}
-                    for cls in cert.classes
-                ]
-        else:
-            witness = cert.reason
-        report.add("(4) strongly cyclically monotone", cert.ok, witness)
+    if cert.ok:
+        witness = {
+            "classes": cert.class_count,
+            "phi": _fmt(list(cert.pair.phi)),
+            "psi": _fmt(list(cert.pair.psi)),
+            "anchor": list(cert.pair.anchor),
+        }
+        if cert.class_count > 1:
+            witness["decomposition"] = [
+                {"C": list(cls.sources), "D": list(cls.targets),
+                 "pairs": [list(p) for p in cls.pairs]}
+                for cls in cert.classes
+            ]
+    else:
+        witness = cert.reason
+    report.add("(4) strongly cyclically monotone", cert.ok, witness)
     diagram_ok = (
         (robust == cert.ok)
         and (not robust or optimal)
@@ -231,24 +244,11 @@ def cmd_improve(args) -> Report:
     policy = _policy_from_args(args)
     report = Report(command="improve")
     instance, embedded = load_instance(args.instance, policy)
-    plan, source = _load_plan(args, instance, embedded, policy)
+    plan, source, _ = _load_plan(args, instance, embedded, policy)
     report.notes["plan_source"] = source
-    budget = args.max_iters
-    if budget is None:
-        budget = max(1, len(support(plan, policy=policy)) ** 3)
-    trajectory = [total_cost(instance, plan)]
-    current = plan
-    converged = False
     with _Timer(report, "improve"):
-        for _ in range(budget):
-            cycle = check_c_monotone(instance, current, policy)
-            if cycle is None:
-                converged = True
-                break
-            current = improve_plan(instance, current, cycle, policy)
-            trajectory.append(total_cost(instance, current))
-        else:
-            converged = check_c_monotone(instance, current, policy) is None
+        _, trajectory, converged = improve_to_monotone(
+            instance, plan, args.max_iters, policy)
     report.notes["trajectory"] = _fmt(trajectory)
     report.notes["iterations"] = len(trajectory) - 1
     report.add("reached a cyclically monotone plan", converged,
@@ -276,12 +276,9 @@ def cmd_dichotomy(args) -> Report:
     policy = _policy_from_args(args)
     report = Report(command="dichotomy")
     mmi = load_mmi(args.instance, policy)
-    with _Timer(report, "p-value"):
-        p = p_value(mmi)
-    with _Timer(report, "l-value"):
-        l_exact = l_value(mmi)
     with _Timer(report, "dichotomy"):
         outcome = check_dichotomy(mmi)
+    p, l_exact = outcome.p, outcome.l_exact
     report.notes["p"] = _fmt(p)
     report.notes["l"] = _fmt(l_exact)
     report.notes["l_relaxed"] = _fmt(outcome.l_relaxed)
@@ -394,7 +391,7 @@ def cmd_adversary(args) -> Report:
     policy = _policy_from_args(args)
     report = Report(command="adversary")
     instance, embedded = load_instance(args.instance, policy)
-    plan, source = _load_plan(args, instance, embedded, policy)
+    plan, source, _ = _load_plan(args, instance, embedded, policy)
     report.notes["plan_source"] = source
     report.notes["seed"] = args.seed
     lam = tuple([args.lam] * args.z_size)

@@ -124,12 +124,14 @@ def decompose_graph(graph: ResidualGraph) -> ConnectivityDecomposition:
     return ConnectivityDecomposition(classes=tuple(classes))
 
 
-def decompose(instance: Instance, support_set: SupportSet) -> ConnectivityDecomposition:
+def decompose(instance: Instance, support_set: SupportSet,
+              policy: Policy = RATIONAL) -> ConnectivityDecomposition:
     """Equivalence classes of the mutual-reachability relation."""
-    return decompose_graph(residual_graph(instance, support_set))
+    return decompose_graph(residual_graph(instance, support_set, policy))
 
 
-def is_connecting(instance: Instance, support_set: SupportSet) -> bool:
+def is_connecting(instance: Instance, support_set: SupportSet,
+                  policy: Policy = RATIONAL) -> bool:
     """True when every support pair reaches every other one.
 
     Fast path: a cost matrix without infinite entries makes every support
@@ -139,7 +141,7 @@ def is_connecting(instance: Instance, support_set: SupportSet) -> bool:
         raise InstanceError("empty support")
     if not instance.has_infinite_cost():
         return True
-    return len(decompose(instance, support_set).classes) == 1
+    return len(decompose(instance, support_set, policy).classes) == 1
 
 
 def check_class_confinement(instance: Instance,

@@ -213,20 +213,21 @@ def improve_to_monotone(instance: Instance, plan: TransportPlan,
                         policy: Policy = RATIONAL):
     """Iterate cycle detection and rerouting until no violation remains.
 
-    Returns (plan, iterations, converged).  The default budget is
-    |support|^3; running out is reported, not fatal.
+    Returns (plan, trajectory, converged), trajectory being the cost before
+    and after each reroute.  The default budget is |support|^3; running out
+    is reported, not fatal.
     """
     if max_iters is None:
         max_iters = max(1, len(support(plan, policy=policy)) ** 3)
     current = plan
-    for step in range(max_iters):
+    trajectory = [total_cost(instance, plan)]
+    for _ in range(max_iters):
         cycle = check_c_monotone(instance, current, policy)
         if cycle is None:
-            return current, step, True
-        before = total_cost(instance, current)
+            return current, tuple(trajectory), True
         current = improve_plan(instance, current, cycle, policy)
-        after = total_cost(instance, current)
-        if not after < before:
+        trajectory.append(total_cost(instance, current))
+        if not trajectory[-1] < trajectory[-2]:
             raise InstanceError("rerouting failed to decrease the cost")
     converged = check_c_monotone(instance, current, policy) is None
-    return current, max_iters, converged
+    return current, tuple(trajectory), converged

@@ -54,7 +54,6 @@ class DefenseReport:
     gap: object
     z_size: int
     lam: tuple
-    certificate: CertifyResult
     extended_value: object
     defended_value: object
 
@@ -117,20 +116,20 @@ def extended_plan(plan: TransportPlan, z_size: int, lam) -> TransportPlan:
     return TransportPlan(mass=tuple(rows))
 
 
-def check_robust_defense(instance: Instance, plan: TransportPlan, z_size: int,
-                         lam, policy: Policy = RATIONAL) -> DefenseReport:
-    """Certify the plan, build the defended extension, and measure the gap
-    between the defended plan and the extended optimum (predicted zero).
+def check_robust_defense(instance: Instance, plan: TransportPlan,
+                         certificate: CertifyResult, z_size: int, lam,
+                         policy: Policy = RATIONAL) -> DefenseReport:
+    """Build the defended extension from the plan's ``certify_strong``
+    result and measure the gap between the defended plan and the extended
+    optimum (predicted zero).
 
-    Raises when no strong-monotonicity certificate exists, since the
-    defense construction is then unavailable.
+    Raises, without solving the extension, when the certificate failed:
+    the defense construction is then unavailable.
     """
-    certificate = certify_strong(instance, plan, policy)
     if not certificate.ok:
         raise InstanceError(f"not strongly c-monotone: {certificate.reason}")
-    lam = tuple(policy.number(v) for v in lam)
     extension = build_extension(instance, certificate.pair, z_size, lam, policy)
-    defended = extended_plan(plan, z_size, lam)
+    defended = extended_plan(plan, z_size, extension.lam)
     ext_instance = extension.as_instance()
     defended_value = total_cost(ext_instance, defended)
     result = solve_exact(ext_instance, policy)
@@ -141,8 +140,7 @@ def check_robust_defense(instance: Instance, plan: TransportPlan, z_size: int,
         ok=policy.leq(gap, 0 * gap),
         gap=gap,
         z_size=z_size,
-        lam=lam,
-        certificate=certificate,
+        lam=extension.lam,
         extended_value=result.value,
         defended_value=defended_value,
     )

@@ -322,13 +322,14 @@ def brute_force_optimal(instance: Instance, policy: Policy = RATIONAL):
     raise InstanceError("instance too large for exhaustive enumeration")
 
 
-def is_optimal(instance: Instance, plan: TransportPlan, policy: Policy = RATIONAL):
-    """(optimal?, gap): gap is the plan's excess cost over the optimum."""
+def is_optimal(instance: Instance, plan: TransportPlan, optimum: OptimalResult,
+               policy: Policy = RATIONAL):
+    """(optimal?, gap): gap is the plan's excess cost over ``optimum``, the
+    instance's ``solve_exact`` result."""
     plan_value = total_cost(instance, plan)
     if plan_value is INFINITY:
         raise InstanceError("plan has infinite cost")
-    result = solve_exact(instance, policy)
-    if not result.feasible:
+    if not optimum.feasible:
         raise InstanceError("no finite-cost plan exists yet the plan is finite")
-    gap = plan_value - result.value
+    gap = plan_value - optimum.value
     return policy.leq(gap, 0 * gap), gap

@@ -104,15 +104,15 @@ def suite2():
 def test_criterion_1_equivalence_suite(suite1):
     start = time.monotonic()
     for instance, result, bad_plan in suite1:
-        optimal, gap = is_optimal(instance, result.plan)
+        optimal, gap = is_optimal(instance, result.plan, result)
         assert optimal and gap == 0
         assert check_c_monotone(instance, result.plan) is None
         cert = certify_strong(instance, result.plan)
         assert cert.ok
-        defense = check_robust_defense(instance, result.plan, 1, [ONE])
+        defense = check_robust_defense(instance, result.plan, cert, 1, [ONE])
         assert defense.ok and defense.gap == 0
 
-        bad_optimal, bad_gap = is_optimal(instance, bad_plan)
+        bad_optimal, bad_gap = is_optimal(instance, bad_plan, result)
         assert not bad_optimal and bad_gap > 0
         assert check_c_monotone(instance, bad_plan) is not None
     elapsed = time.monotonic() - start
@@ -172,11 +172,12 @@ def test_criterion_4_cyclic_two_track_family():
     for n in (3, 5, 8):
         for a, b in product((1, 2), repeat=2):
             instance = gen_ap(n, a, b)
+            optimum = solve_exact(instance)
             for plan in (ap_diagonal_plan(n), ap_shift_plan(n)):
-                optimal, _ = is_optimal(instance, plan)
+                optimal, _ = is_optimal(instance, plan, optimum)
                 monotone = check_c_monotone(instance, plan) is None
                 assert optimal == monotone
-            shift_optimal, _ = is_optimal(instance, ap_shift_plan(n))
+            shift_optimal, _ = is_optimal(instance, ap_shift_plan(n), optimum)
             assert shift_optimal == (b <= a)
     print("\nACCEPTANCE 4 PASS: shift plan optimal iff b <= a and "
           "monotonicity matches optimality for N in {3,5,8}, (a,b) in {1,2}^2")
@@ -247,10 +248,11 @@ def test_criterion_7_coupling_cover_dichotomy():
 def test_criterion_8_defense_and_adversary(suite1):
     start = time.monotonic()
     for instance, result, _ in suite1:
+        cert = certify_strong(instance, result.plan)
         for z_size in (1, 2):
             for lam_value in (HALF, ONE):
                 report = check_robust_defense(
-                    instance, result.plan, z_size, [lam_value] * z_size
+                    instance, result.plan, cert, z_size, [lam_value] * z_size
                 )
                 assert report.gap == 0
         attack = adversarial_search(

@@ -1,14 +1,25 @@
 """Command-line behavior: reports, exit codes, batch mode."""
 
+import contextlib
+import io
 import json
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transport_certify import cli
 from transport_certify.cli import main
-from transport_certify import instance_to_dict, make_plan
-from transport_certify.generators import ap_shift_plan, gen_ap, gen_random
+from transport_certify import instance_to_dict, make_plan, solve_exact
+from transport_certify.generators import (
+    ap_shift_plan,
+    gen_ap,
+    gen_blocks,
+    gen_random,
+)
 
 
 @pytest.fixture
@@ -235,6 +246,15 @@ VALID = '{"mu": [1], "nu": [1], "cost": [[1]]}'
     (["--tolerance", "-1", "solve"], VALID),
     (["--float", "--tolerance", "nan", "solve"], VALID),
     (["solve"], b"\xff\xfe not utf-8"),
+    (["adversary", "--trials", "-3"], VALID),
+    (["adversary", "--trials", "0"], VALID),
+    (["adversary", "--z-size", "-1"], VALID),
+    (["adversary", "--lambda", "nan"], VALID),
+    (["check", "--z-size", "-1"], VALID),
+    (["check", "--lambda", "-1"], VALID),
+    (["check", "--lambda", "nan"], VALID),
+    (["check", "--lambda", "inf"], VALID),
+    (["improve", "--max-iters", "-2"], VALID),
 ])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, text):
     path = tmp_path / "input.json"
@@ -261,3 +281,130 @@ def test_zero_tolerance_honoured():
 
     args = build_parser().parse_args(["--float", "--tolerance", "0", "solve", "x"])
     assert _policy_from_args(args).tolerance == 0
+
+
+def test_check_marks_robust_as_derived(write_instance, capsys):
+    path = write_instance(gen_random(3, 2))
+    assert main(["--json", "check", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["notes"]["derived"] == {"(3)": "(4)"}
+    assert list(report["timings"]) == ["optimal", "strong", "robust"]
+
+
+def _count_calls(monkeypatch, name):
+    """Record every call of the package function ``name``, in each package
+    module that binds it."""
+    modules = [module for key, module in sorted(sys.modules.items())
+               if key.startswith("transport_certify.")]
+    original = next(getattr(m, name) for m in modules if hasattr(m, name))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _plan_cases():
+    inst = gen_blocks((2, 3), seed=5)
+    shifted = gen_ap(4, 1, 2)
+    return {
+        # One base solve, which also supplies the plan, and one extension.
+        "solver-plan": (inst, None, 0, 2),
+        "embedded-plan": (inst, solve_exact(inst).plan, 0, 2),
+        # No certificate, so the extension is never solved.
+        "embedded-cycle": (shifted, ap_shift_plan(4), 1, 1),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_plan_cases()))
+def test_check_computes_each_artifact_once(write_instance, monkeypatch,
+                                           capsys, case):
+    inst, plan, code, solves = _plan_cases()[case]
+    path = write_instance(inst, plan)
+    counted = ("residual_graph", "certify_strong", "solve_exact")
+    calls = {name: _count_calls(monkeypatch, name) for name in counted}
+    assert main(["--json", "check", path]) == code
+    assert {name: len(c) for name, c in calls.items()} == {
+        "residual_graph": 1, "certify_strong": 1, "solve_exact": solves}
+
+
+def test_dichotomy_computes_each_bound_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "mmi.json"
+    path.write_text(json.dumps(
+        {"weights": [["1/3"] * 3] * 3,
+         "B": [[i, j, 2 - i - j] for i in range(3) for j in range(3 - i)]}))
+    counted = ("p_value", "l_value", "l_value_relaxed", "solve_lp")
+    calls = {name: _count_calls(monkeypatch, name) for name in counted}
+    assert main(["--json", "dichotomy", str(path)]) == 0
+    assert {name: len(c) for name, c in calls.items()} == {
+        "p_value": 1, "l_value": 1, "l_value_relaxed": 1, "solve_lp": 2}
+
+
+# Arbitrary JSON, and instance-shaped documents that are mostly well formed,
+# with one field or one cost entry sometimes replaced by arbitrary JSON.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8,
+)
+_entry = st.sampled_from([2, 0, 3, 1, "1/2", "5/3", "inf"])
+_size = st.sampled_from([2, 3, 1])
+
+
+def _weights(size):
+    return st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(
+        any).map(lambda raw: [str(Fraction(r, sum(raw))) for r in raw])
+
+
+@st.composite
+def _document(draw):
+    rows, cols = draw(_size), draw(_size)
+    mu, nu = draw(_weights(rows)), draw(_weights(cols))
+    doc = {"mu": mu, "nu": nu, "cost": [
+        [draw(_entry) for _ in range(cols)] for _ in range(rows)]}
+    plans = [[[str(Fraction(a) * Fraction(b)) for b in nu] for a in mu]]
+    if rows == cols:
+        plans.append([[a if i == j else 0 for j in range(cols)]
+                      for i, a in enumerate(mu)])
+    plan = draw(st.sampled_from(plans) | st.lists(
+        st.lists(_entry, min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        doc["plan"] = plan
+    corrupt = draw(st.sampled_from([None] * 8 + ["entry", *doc]))
+    if corrupt == "entry":
+        doc["cost"][draw(st.integers(0, rows - 1))][0] = draw(_json)
+    elif corrupt is not None:
+        doc[corrupt] = draw(_json)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(
+        [["solve"], ["check"], ["improve"], ["adversary", "--trials", "2"]]),
+    flags=st.sampled_from([[], ["--float"], ["--json"]]),
+    instance=st.one_of(_document(), _document(), _document(), _json),
+    plan=st.one_of(st.none(), st.none(), _json,
+                   _document().map(lambda doc: doc.get("plan"))),
+)
+def test_any_json_exits_zero_one_or_two(command, flags, instance, plan):
+    with tempfile.TemporaryDirectory() as work:
+        instance_path = Path(work) / "instance.json"
+        instance_path.write_text(json.dumps(instance))
+        argv = flags + command + [str(instance_path)]
+        if plan is not None and command != ["solve"]:
+            plan_path = Path(work) / "plan.json"
+            plan_path.write_text(json.dumps({"plan": plan}))
+            argv += ["--plan", str(plan_path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -144,6 +144,21 @@ class TestDecompose:
         assert len(seen) == len(set(seen))
 
 
+    def test_float_mode_classes_match_rational(self):
+        from transport_certify import float_policy, instance_from_dict, instance_to_dict
+
+        policy = float_policy()
+        cases = [(gen_blocks(sizes, seed=seed), None)
+                 for seed, sizes in enumerate(((2, 2), (1, 3, 2), (3, 3, 1, 2)))]
+        cases += [(gen_zero_one(n), zero_one_diagonal_plan(n)) for n in (3, 8)]
+        for inst, plan in cases:
+            sup = support(plan or solve_exact(inst).plan)
+            approx = instance_from_dict(instance_to_dict(inst), policy)
+            exact = decompose(inst, sup).classes
+            assert decompose(approx, sup, policy).classes == exact
+            assert is_connecting(approx, sup, policy) == (len(exact) == 1)
+
+
 class TestIsConnecting:
     def test_finite_cost_fast_path(self):
         inst = gen_random(4, 3)

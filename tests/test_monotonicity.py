@@ -234,16 +234,18 @@ class TestImprovePlan:
 
 class TestImproveToMonotone:
     def test_antidiagonal_single_iteration(self, square_instance):
-        final, steps, converged = improve_to_monotone(
+        final, trajectory, converged = improve_to_monotone(
             square_instance, permutation_plan(2, (1, 0))
         )
+        steps = len(trajectory) - 1
         assert converged and steps == 1
         assert total_cost(square_instance, final) == 0
 
     def test_already_monotone_zero_iterations(self, square_instance):
-        final, steps, converged = improve_to_monotone(
+        final, trajectory, converged = improve_to_monotone(
             square_instance, permutation_plan(2, (0, 1))
         )
+        steps = len(trajectory) - 1
         assert converged and steps == 0
 
     def test_random_permutation_reaches_brute_force_optimum(self):
@@ -265,7 +267,7 @@ class TestImproveToMonotone:
             perm = list(range(4))
             rng.shuffle(perm)
             plan = permutation_plan(4, perm)
-            optimal, _ = is_optimal(inst, plan)
+            optimal, _ = is_optimal(inst, plan, solve_exact(inst))
             monotone = check_c_monotone(inst, plan) is None
             assert optimal == monotone
 

@@ -115,48 +115,59 @@ class TestExtendedPlan:
 
 class TestRobustDefense:
     def test_diagonal_plan_defends(self, square_instance):
+        plan = permutation_plan(2, (0, 1))
         report = check_robust_defense(
-            square_instance, permutation_plan(2, (0, 1)), 1, [Fraction(1, 2)]
+            square_instance, plan, certify_strong(square_instance, plan), 1,
+            [Fraction(1, 2)]
         )
         assert report.ok
         assert report.gap == 0
 
     def test_cyclic_diagonal_defends(self):
         inst = gen_ap(3, 1, 2)
-        report = check_robust_defense(inst, ap_diagonal_plan(3), 1, [Fraction(1)])
+        plan = ap_diagonal_plan(3)
+        report = check_robust_defense(inst, plan, certify_strong(inst, plan), 1,
+                                      [Fraction(1)])
         assert report.ok and report.gap == 0
 
     def test_non_monotone_plan_rejected(self, square_instance):
+        plan = permutation_plan(2, (1, 0))
         with pytest.raises(InstanceError, match="strongly c-monotone"):
             check_robust_defense(
-                square_instance, permutation_plan(2, (1, 0)), 1, [Fraction(1)]
+                square_instance, plan, certify_strong(square_instance, plan), 1,
+                [Fraction(1)]
             )
 
     def test_zero_storage_reduces_to_is_optimal(self):
         for seed in range(10):
             inst = gen_random(4, 50 + seed)
-            plan = solve_exact(inst).plan
-            report = check_robust_defense(inst, plan, 0, [])
-            ok, gap = is_optimal(inst, plan)
+            optimum = solve_exact(inst)
+            plan = optimum.plan
+            report = check_robust_defense(inst, plan, certify_strong(inst, plan),
+                                          0, [])
+            ok, gap = is_optimal(inst, plan, optimum)
             assert report.ok == ok
             assert report.gap == gap
 
     def test_multi_class_plan_defends(self):
         inst = gen_blocks((2, 2), seed=8)
         plan = solve_exact(inst).plan
-        report = check_robust_defense(inst, plan, 2, [Fraction(1, 2)] * 2)
+        report = check_robust_defense(inst, plan, certify_strong(inst, plan), 2,
+                                      [Fraction(1, 2)] * 2)
         assert report.ok and report.gap == 0
 
     def test_triangular_grid_defends(self):
         inst = gen_zero_one(8)
         plan = zero_one_diagonal_plan(8)
-        report = check_robust_defense(inst, plan, 1, [Fraction(1)])
+        report = check_robust_defense(inst, plan, certify_strong(inst, plan), 1,
+                                      [Fraction(1)])
         assert report.ok and report.gap == 0
 
     def test_defended_value_studies_base_plus_zero_storage(self):
         inst = gen_random(3, 17)
         plan = solve_exact(inst).plan
-        report = check_robust_defense(inst, plan, 1, [Fraction(2)])
+        report = check_robust_defense(inst, plan, certify_strong(inst, plan), 1,
+                                      [Fraction(2)])
         assert report.defended_value == total_cost(inst, plan)
 
 

@@ -102,23 +102,25 @@ class TestBruteForce:
 
 class TestIsOptimal:
     def test_diagonal_is_optimal(self, square_instance):
-        ok, gap = is_optimal(square_instance, permutation_plan(2, (0, 1)))
+        ok, gap = is_optimal(square_instance, permutation_plan(2, (0, 1)),
+                             solve_exact(square_instance))
         assert ok and gap == 0
 
     def test_antidiagonal_gap_one(self, square_instance):
-        ok, gap = is_optimal(square_instance, permutation_plan(2, (1, 0)))
+        ok, gap = is_optimal(square_instance, permutation_plan(2, (1, 0)),
+                             solve_exact(square_instance))
         assert not ok
         assert gap == 1
 
     def test_cheap_shift_track_selected(self):
         inst = gen_ap(3, 2, 1)
-        ok, gap = is_optimal(inst, ap_shift_plan(3))
+        ok, gap = is_optimal(inst, ap_shift_plan(3), solve_exact(inst))
         assert ok and gap == 0
 
     def test_infinite_plan_rejected(self):
         inst = uniform_instance([[0, 1], [1, "inf"]])
         with pytest.raises(InstanceError, match="infinite"):
-            is_optimal(inst, permutation_plan(2, (0, 1)))
+            is_optimal(inst, permutation_plan(2, (0, 1)), solve_exact(inst))
 
 
 class TestSolverInvariants:
