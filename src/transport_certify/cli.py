@@ -35,7 +35,7 @@ from .core import (
 from .generators import GENERATORS, generate
 from .monotonicity import improve_to_monotone
 from .multimarginal import check_dichotomy, load_mmi
-from .potentials import certify_strong
+from .potentials import CertifyResult, certify_strong
 from .robustness import adversarial_search, check_robust_defense
 from .solver import is_optimal, solve_exact
 
@@ -182,8 +182,10 @@ def cmd_check(args) -> Report:
     plan, source, optimum = _load_plan(args, instance, embedded, policy)
     report.notes["plan_source"] = source
     report.notes["support_threshold"] = _fmt(policy.support_threshold)
-    # The defense of (3) is built from the certificate of (4).
+    # The defense of (3) is built from the certificate of (4), so the
+    # diagram's robust == strong clause holds by construction.
     report.notes["derived"] = {"(3)": "(4)"}
+    report.notes["by_construction"] = ["robust == strong"]
     z_size = args.z_size
     lam = tuple([args.lam] * z_size)
 
@@ -197,10 +199,14 @@ def cmd_check(args) -> Report:
             optimal = False
             report.add("(1) optimal", False, str(exc))
     with _Timer(report, "strong"):
-        cert = certify_strong(instance, plan, policy)
-    monotone = cert.cycle is None
-    report.add("(2) cyclically monotone", monotone,
-               None if monotone else _cycle_witness(cert.cycle))
+        try:
+            cert = certify_strong(instance, plan, policy)
+            monotone = cert.cycle is None
+            witness = None if monotone else _cycle_witness(cert.cycle)
+        except InstanceError as exc:  # mass on an infinite-cost pair
+            cert = CertifyResult(ok=False, pair=None, reason=str(exc))
+            monotone, witness = False, cert.reason
+    report.add("(2) cyclically monotone", monotone, witness)
     with _Timer(report, "robust"):
         try:
             defense = check_robust_defense(instance, plan, cert, z_size, lam,
@@ -247,8 +253,12 @@ def cmd_improve(args) -> Report:
     plan, source, _ = _load_plan(args, instance, embedded, policy)
     report.notes["plan_source"] = source
     with _Timer(report, "improve"):
-        _, trajectory, converged = improve_to_monotone(
-            instance, plan, args.max_iters, policy)
+        try:
+            _, trajectory, converged = improve_to_monotone(
+                instance, plan, args.max_iters, policy)
+        except InstanceError as exc:  # e.g. mass on an infinite-cost pair
+            report.add("reached a cyclically monotone plan", False, str(exc))
+            return report
     report.notes["trajectory"] = _fmt(trajectory)
     report.notes["iterations"] = len(trajectory) - 1
     report.add("reached a cyclically monotone plan", converged,

@@ -39,12 +39,6 @@ class ConnectivityClass:
 class ConnectivityDecomposition:
     classes: tuple
 
-    def class_of_pair(self, pair):
-        for idx, cls in enumerate(self.classes):
-            if pair in cls.pairs:
-                return idx
-        raise KeyError(pair)
-
 
 @dataclass(frozen=True)
 class ConfinementReport:

@@ -7,9 +7,11 @@ weight cost(x, y) for every finite cost and an arc y -> x of weight
 weighs the sum of cost(x_i, y_{i+1}) - cost(x_i, y_i), so a negative cycle
 is exactly a family of support pairs whose rerouting strictly lowers the
 transport cost; executing the reroute at the bottleneck mass yields a
-strictly cheaper plan with the same marginals.  The graph's strongly
-connected components are the connecting classes and its shortest distances
-to an anchor target are the chain potentials.
+strictly cheaper plan with the same marginals.  When ``settle`` finds no
+negative cycle, its distances are the strong-monotonicity certificate (see
+``potentials``).  The graph's strongly connected components are the
+connecting classes and its shortest distances to an anchor target are the
+chain potentials.
 """
 
 from __future__ import annotations
@@ -115,8 +117,12 @@ def _bellman_ford(arcs, dist, tolerance, passes):
     return parent, relaxed
 
 
-def find_violating_cycle(graph: ResidualGraph):
-    """Bellman-Ford from an all-zero start; a ViolatingCycle or None."""
+def settle(graph: ResidualGraph):
+    """Bellman-Ford from an all-zero start.
+
+    Returns (distances, None) in weight units when no violating cycle is
+    found, and (None, ViolatingCycle) otherwise.
+    """
     dist = [0 * graph.tolerance] * len(graph.arcs)
     # Source nodes are only lowered while targets are swept and targets only
     # while sources are, so each pass adds one support arc to a settling
@@ -128,7 +134,7 @@ def find_violating_cycle(graph: ResidualGraph):
     passes = 2 + sum(1 for out in graph.arcs[graph.x_size:] if out)
     parent, relaxed = _bellman_ford(graph.arcs, dist, graph.tolerance, passes)
     if not relaxed:
-        return None
+        return dist, None
     walk, position = [], {}
     node = relaxed[-1]
     while node not in position:
@@ -144,8 +150,9 @@ def find_violating_cycle(graph: ResidualGraph):
         if u >= graph.x_size:
             pairs.append((v, u - graph.x_size))
     if not -weight > graph.tolerance:
-        return None
-    return ViolatingCycle(pairs=tuple(pairs), gap=graph.in_cost_units(-weight))
+        return dist, None
+    return None, ViolatingCycle(pairs=tuple(pairs),
+                                gap=graph.in_cost_units(-weight))
 
 
 def distances_to(graph: ResidualGraph, target: int, nodes) -> list:
@@ -182,7 +189,7 @@ def check_c_monotone(instance: Instance, plan: TransportPlan,
     """None when no support cycle can be rerouted at a strict saving;
     otherwise a ViolatingCycle witness with its gap."""
     sup = support(plan, policy=policy)
-    return find_violating_cycle(residual_graph(instance, sup, policy))
+    return settle(residual_graph(instance, sup, policy))[1]
 
 
 def improve_plan(instance: Instance, plan: TransportPlan,

@@ -8,13 +8,14 @@ pairs that starts at the anchor and finally serves x.  Equivalently it is
     dist(x -> y_anchor) - cost(anchor)
 
 where dist is the shortest-path distance in the residual graph of the
-support (see ``monotonicity``).  Each connecting class gets its own gauged
-potential, computed on the arcs of its strongly connected component alone;
-classes are then glued by per-class offsets solving the difference
-constraints imposed by finite cross-class cost entries.  Because the class
-condensation is acyclic on finite instances those constraints always admit
-a solution, but the infeasible branch is kept and reports the blocking
-constraint.
+support (see ``monotonicity``); its c-transform is the tightest partner.
+
+The certificate of ``certify_strong`` comes from the Bellman-Ford that
+looks for a violating cycle: once it settles, its distances d satisfy
+d(y) <= d(x) + cost(x, y) on every finite cost and d(x) <= d(y) - cost(x, y)
+on every support pair, so phi(x) = d(x_anchor) - d(x) and
+psi(y) = d(y) - d(x_anchor) are feasible everywhere and tight on the
+support, across all connecting classes at once.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .core import (
     support,
 )
 from .connectivity import decompose_graph
-from .monotonicity import distances_to, find_violating_cycle, residual_graph
+from .monotonicity import distances_to, residual_graph, settle
 
 
 @dataclass(frozen=True)
@@ -63,25 +64,12 @@ class CertifyResult:
     pair: PotentialPair | None
     reason: str | None
     cycle: object = None
-    blocking: tuple | None = None
     classes: tuple = ()
     report: VerifyReport | None = None
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
-
-
-def _gauged_potential(instance, graph, anchor, nodes) -> tuple:
-    """dist(x -> y_anchor) - cost(anchor) over the arcs among the nodes;
-    NEG_INFINITY where no chain reaches or a negative cycle is pumped."""
-    distances = distances_to(graph, graph.x_size + anchor[1], nodes)
-    anchor_cost = instance.cost[anchor[0]][anchor[1]]
-    phi = [NEG_INFINITY] * instance.x_size
-    for u, dist in zip(nodes, distances):
-        if u < graph.x_size and dist is not None and dist is not NEG_INFINITY:
-            phi[u] = graph.in_cost_units(dist) - anchor_cost
-    return tuple(phi)
 
 
 def chain_potential(instance: Instance, support_set: SupportSet, anchor,
@@ -96,7 +84,14 @@ def chain_potential(instance: Instance, support_set: SupportSet, anchor,
     if anchor not in support_set.pairs:
         raise InstanceError(f"anchor {anchor} not in support")
     graph = residual_graph(instance, support_set, policy)
-    return _gauged_potential(instance, graph, anchor, range(len(graph.arcs)))
+    distances = distances_to(graph, graph.x_size + anchor[1],
+                             range(len(graph.arcs)))
+    anchor_cost = instance.cost[anchor[0]][anchor[1]]
+    phi = [NEG_INFINITY] * instance.x_size
+    for x, dist in enumerate(distances[:graph.x_size]):
+        if dist is not None and dist is not NEG_INFINITY:
+            phi[x] = graph.in_cost_units(dist) - anchor_cost
+    return tuple(phi)
 
 
 def c_transform(instance: Instance, phi, domain,
@@ -185,97 +180,32 @@ def verify_strong_monotonicity(instance: Instance, plan: TransportPlan,
     )
 
 
-def _glue_offsets(instance, classes, phis, psis, policy):
-    """Solve t_i - t_j <= d over finite cross-class entries.
-
-    Returns (offsets, None) or (None, blocking constraint).  Constraints are
-    relaxed Bellman-Ford style from a virtual all-zero source.
-    """
-    k = len(classes)
-    constraints = []
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            bound = None
-            bound_cell = None
-            for x in classes[i].sources:
-                for y in classes[j].targets:
-                    entry = instance.cost[x][y]
-                    if entry is INFINITY:
-                        continue
-                    value = entry - phis[i][x] - psis[j][y]
-                    if bound is None or value < bound:
-                        bound = value
-                        bound_cell = (x, y)
-            if bound is not None:
-                constraints.append((j, i, bound, bound_cell))
-    zero = 0 * (policy.tolerance + 0)
-    offsets = [zero] * k
-    for _ in range(k):
-        changed = False
-        for j, i, bound, _ in constraints:
-            candidate = offsets[j] + bound
-            if candidate < offsets[i] - policy.tolerance:
-                offsets[i] = candidate
-                changed = True
-        if not changed:
-            return offsets, None
-    for j, i, bound, cell in constraints:
-        if offsets[j] + bound < offsets[i] - policy.tolerance:
-            return None, (i, j, bound, cell)
-    return offsets, None
-
-
 def certify_strong(instance: Instance, plan: TransportPlan,
                    policy: Policy = RATIONAL) -> CertifyResult:
     """Construct and verify a strong-monotonicity certificate for the plan.
 
     Fails with the violating cycle when the support is not cyclically
-    monotone; otherwise builds per-class gauged potentials, glues them, and
-    verifies the result on the full product.
+    monotone; otherwise reads the potentials off the settled distances,
+    gauged at the first support pair, and verifies them on the full
+    product.
     """
     sup = support(plan, policy=policy)
     if len(sup.pairs) == 0:
         raise InstanceError("plan has empty support")
     graph = residual_graph(instance, sup, policy)
-    cycle = find_violating_cycle(graph)
+    dist, cycle = settle(graph)
     if cycle is not None:
         return CertifyResult(
             ok=False, pair=None, reason="not c-monotone", cycle=cycle
         )
-    deco = decompose_graph(graph)
-    classes = deco.classes
-    phis = []
-    psis = []
-    for cls in classes:
-        # A chain between two nodes of a class never leaves their component.
-        nodes = cls.sources + tuple(graph.x_size + y for y in cls.targets)
-        phi = _gauged_potential(instance, graph, cls.pairs[0], nodes)
-        psi = c_transform(instance, phi, cls.sources, policy)
-        phis.append(phi)
-        psis.append(psi)
-    offsets, blocking = _glue_offsets(instance, classes, phis, psis, policy)
-    if offsets is None:
-        return CertifyResult(
-            ok=False,
-            pair=None,
-            reason="cross-class gluing infeasible; per-class certificates only",
-            blocking=blocking,
-            classes=classes,
-        )
-    global_anchor = sup.pairs[0]
-    anchor_class = deco.class_of_pair(global_anchor)
-    shift = offsets[anchor_class]
-    offsets = [t - shift for t in offsets]
-    phi = [NEG_INFINITY] * instance.x_size
-    psi = [NEG_INFINITY] * instance.y_size
-    for idx, cls in enumerate(classes):
-        for x in cls.sources:
-            phi[x] = phis[idx][x] + offsets[idx]
-        for y in cls.targets:
-            psi[y] = psis[idx][y] - offsets[idx]
-    pair = PotentialPair(phi=tuple(phi), psi=tuple(psi), anchor=global_anchor)
+    classes = decompose_graph(graph).classes
+    anchor = sup.pairs[0]
+    base = dist[anchor[0]]
+    pair = PotentialPair(
+        phi=tuple(graph.in_cost_units(base - d) for d in dist[:graph.x_size]),
+        psi=tuple(graph.in_cost_units(d - base) for d in dist[graph.x_size:]),
+        anchor=anchor,
+    )
     report = verify_strong_monotonicity(instance, plan, pair, policy)
     if not report.ok:
         return CertifyResult(

@@ -288,7 +288,66 @@ def test_check_marks_robust_as_derived(write_instance, capsys):
     assert main(["--json", "check", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["notes"]["derived"] == {"(3)": "(4)"}
+    assert report["notes"]["by_construction"] == ["robust == strong"]
     assert list(report["timings"]) == ["optimal", "strong", "robust"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--float"]])
+def test_mass_on_infinite_cost_pair_fails_verdicts(tmp_path, capsys, flags):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({
+        "mu": ["1/2", "1/2"], "nu": ["1/2", "1/2"],
+        "cost": [[1, "inf"], [2, 1]],
+        "plan": [["1/4", "1/4"], ["1/4", "1/4"]]}))
+    assert main(flags + ["--json", "check", str(path)]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [v["passed"] for v in verdicts] == [False] * 4 + [True]
+    assert verdicts[0]["witness"] == "plan has infinite cost"
+    for verdict in verdicts[1:4]:
+        assert "support pair (0,1) has infinite cost" in verdict["witness"]
+    assert main(flags + ["--json", "improve", str(path)]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts == [{"claim": "reached a cyclically monotone plan",
+                         "passed": False,
+                         "witness": "support pair (0,1) has infinite cost"}]
+
+
+def _family_cases():
+    """One small instance of each bench family, checked with the solver's
+    plan and, where the family has one, a non-optimal plan."""
+    from transport_certify.generators import (
+        gen_shift, gen_zero_one, zero_one_diagonal_plan)
+
+    def product(inst):
+        return make_plan([[a * b for b in inst.nu] for a in inst.mu])
+
+    random, blocks = gen_random(5, 31), gen_blocks((2, 3), seed=5)
+    random_inf = next(inst for seed in range(32, 64) if solve_exact(
+        inst := gen_random(5, seed, 0.5)).feasible)
+    cases = [
+        ("ap", gen_ap(6, 1, 2), ap_shift_plan(6)),
+        ("shift", gen_shift(4), None),
+        ("zero-one", gen_zero_one(6), zero_one_diagonal_plan(6)),
+        ("random", random, product(random)),
+        ("random-inf", random_inf, None),
+        ("blocks", blocks, product(blocks)),
+    ]
+    for name, inst, plan in cases:
+        yield name + "-solver", inst, None
+        if plan is not None:
+            yield name + "-plan", inst, plan
+
+
+@pytest.mark.parametrize("case", list(_family_cases()), ids=lambda c: c[0])
+def test_float_mode_verdicts_match_rational(write_instance, capsys, case):
+    _, inst, plan = case
+    path = write_instance(inst, plan)
+    flags = {}
+    for mode in ([], ["--float"]):
+        code = main(mode + ["--json", "check", path])
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        flags[tuple(mode)] = (code, [v["passed"] for v in verdicts])
+    assert flags[()] == flags[("--float",)]
 
 
 def _count_calls(monkeypatch, name):

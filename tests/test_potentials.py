@@ -226,6 +226,61 @@ class TestCertifyStrong:
         assert certify_strong(inst, solve_exact(inst).plan).ok
         assert len(built) == 1
 
+    @pytest.mark.parametrize("case", ["blocks", "zero-one"])
+    def test_runs_one_bellman_ford(self, monkeypatch, case):
+        from transport_certify import monotonicity, potentials
+
+        if case == "blocks":
+            inst = gen_blocks((2, 3), seed=5)
+            plan = solve_exact(inst).plan
+        else:
+            inst, plan = gen_zero_one(16), zero_one_diagonal_plan(16)
+        runs, chains = [], []
+        bellman_ford = monotonicity._bellman_ford
+
+        def counting_runs(*args):
+            runs.append(args)
+            return bellman_ford(*args)
+
+        def counting_chains(*args):
+            chains.append(args)
+            raise AssertionError("certify_strong called distances_to")
+
+        monkeypatch.setattr(monotonicity, "_bellman_ford", counting_runs)
+        monkeypatch.setattr(potentials, "distances_to", counting_chains)
+        assert certify_strong(inst, plan).ok
+        assert (len(runs), len(chains)) == (1, 0)
+
+    def test_agrees_with_chain_infimum_reference(self):
+        # On a single class the chain potential and its c-transform over
+        # the supported sources are a certificate too; both pairs must
+        # pass the full-product check and give the plan's cost as dual
+        # value.
+        compared = 0
+        for seed in range(40):
+            inst = gen_random(2 + seed % 5, 9100 + seed,
+                              inf_density=0.3 if seed % 2 else 0.0)
+            result = solve_exact(inst)
+            if not result.feasible:
+                continue
+            cert = certify_strong(inst, result.plan)
+            assert cert.ok
+            if cert.class_count != 1:
+                continue
+            sup = support(result.plan)
+            phi = chain_potential(inst, sup, sup.pairs[0])
+            psi = c_transform(inst, phi, sup.x_projection())
+            reference = PotentialPair(phi=phi, psi=psi, anchor=sup.pairs[0])
+            values = []
+            for pair in (reference, cert.pair):
+                assert verify_strong_monotonicity(inst, result.plan, pair).ok
+                values.append(
+                    sum(w * v for w, v in zip(inst.mu, pair.phi))
+                    + sum(w * v for w, v in zip(inst.nu, pair.psi)))
+            assert values == [result.value, result.value]
+            compared += 1
+        assert compared >= 25
+
     def test_triangular_grid_certificate_and_growth(self):
         n = 16
         inst = gen_zero_one(n)
@@ -252,10 +307,10 @@ class TestCertifyStrong:
             assert dual_value == total_cost(inst, plan)
 
     def test_certifies_iff_monotone_with_infinities(self):
-        # The cross-class gluing always succeeds because class reach
-        # edges and finite cross-class cells coincide, making the offset
-        # constraints acyclic; so with infinite entries present a finite
-        # plan certifies exactly when it is cyclically monotone.
+        # Without a negative cycle the settled distances of the cycle
+        # search are a certificate for every class at once, so with
+        # infinite entries present a finite plan certifies exactly when it
+        # is cyclically monotone.
         checked = 0
         for seed in range(160):
             n = 2 + seed % 5
