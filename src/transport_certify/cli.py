@@ -283,9 +283,9 @@ def cmd_gen(args) -> Report:
 
 
 def cmd_dichotomy(args) -> Report:
-    policy = _policy_from_args(args)
+    _policy_from_args(args)  # rejects bad flags; the bounds are always exact
     report = Report(command="dichotomy")
-    mmi = load_mmi(args.instance, policy)
+    mmi = load_mmi(args.instance)
     with _Timer(report, "dichotomy"):
         outcome = check_dichotomy(mmi)
     p, l_exact = outcome.p, outcome.l_exact
@@ -405,17 +405,21 @@ def cmd_adversary(args) -> Report:
     report.notes["plan_source"] = source
     report.notes["seed"] = args.seed
     lam = tuple([args.lam] * args.z_size)
+    claim = "no sampled toll beats the defended plan"
     with _Timer(report, "search"):
-        outcome = adversarial_search(
-            instance, plan, args.z_size, lam, args.trials, args.seed, policy
-        )
+        try:
+            outcome = adversarial_search(
+                instance, plan, args.z_size, lam, args.trials, args.seed, policy
+            )
+        except InstanceError as exc:  # e.g. mass on an infinite-cost pair
+            report.add(claim, False, str(exc))
+            return report
     report.notes["floored"] = outcome.floored
     report.notes["trials"] = outcome.trials
     improvement = outcome.max_improvement
     found = improvement is not None and improvement > policy.tolerance
-    report.add("no sampled toll beats the defended plan", not found,
-               {"max_improvement": _fmt(improvement),
-                "trial": outcome.improving_trial})
+    report.add(claim, not found, {"max_improvement": _fmt(improvement),
+                                  "trial": outcome.improving_trial})
     return report
 
 

@@ -2,18 +2,21 @@
 
 The oracles here deliberately avoid the library's own algorithms: cycle
 violations are found by exhaustive enumeration, reachability by naive
-transitive closure, and feasible plans by randomized greedy filling.
+transitive closure, feasible plans by randomized greedy filling, the
+multi-marginal p by an LP over every product cell and l by trying every
+subset of every space.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from transport_certify import INFINITY, TransportPlan, make_instance, validate_instance
+from transport_certify.simplex import solve_lp
 
 
 def frac(a, b=1):
@@ -125,6 +128,39 @@ def random_feasible_plan(instance, rng: random.Random) -> TransportPlan:
     assert all(v == 0 for v in remaining_mu)
     assert all(v == 0 for v in remaining_nu)
     return TransportPlan(mass=tuple(tuple(row) for row in mass))
+
+
+def product_p_value(mmi):
+    """Maximum coupling mass on B as an LP over every product cell, with
+    one marginal equality per point."""
+    tuples = list(product(*(range(size) for size in mmi.sizes)))
+    in_b = set(mmi.b_set)
+    costs = [Fraction(-1) if tup in in_b else Fraction(0) for tup in tuples]
+    rows = []
+    rhs = []
+    for space, weights in enumerate(mmi.weights):
+        for point, weight in enumerate(weights):
+            rows.append([Fraction(1) if tup[space] == point else Fraction(0)
+                         for tup in tuples])
+            rhs.append(Fraction(weight))
+    value, _ = solve_lp(costs, rows, rhs)
+    return -value
+
+
+def exhaustive_l_value(mmi):
+    """Minimum weight of a cylinder cover of B, trying every subset of
+    every space."""
+    n = mmi.n_spaces
+    best = None
+    for masks in product(*(range(1 << size) for size in mmi.sizes)):
+        if not all(any(masks[k] >> tup[k] & 1 for k in range(n))
+                   for tup in mmi.b_set):
+            continue
+        weight = sum(mmi.weights[k][point] for k in range(n)
+                     for point in range(mmi.sizes[k]) if masks[k] >> point & 1)
+        if best is None or weight < best:
+            best = weight
+    return best
 
 
 @pytest.fixture

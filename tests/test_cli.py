@@ -6,6 +6,7 @@ import json
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,33 @@ def test_dichotomy_command(tmp_path, capsys):
     assert code == 0
     assert "p: 1/2" in out
     assert "l: 1/2" in out
+
+
+@pytest.mark.parametrize("flags", [[], ["--float"]])
+def test_dichotomy_is_exact_in_both_modes(tmp_path, capsys, flags):
+    # Thirds read as floats do not sum to 1 exactly; the bounds never see
+    # them, because dichotomy always reads the weights as Fractions.
+    path = tmp_path / "mmi.json"
+    path.write_text(json.dumps(
+        {"weights": [["1/3", "1/3", "1/3"], ["1/2", "1/2"]],
+         "B": [[0, 0], [1, 1]]}))
+    assert main(flags + ["--json", "dichotomy", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["notes"] == {
+        "p": "2/3", "l": "2/3", "l_relaxed": "2/3"}
+
+
+@pytest.mark.parametrize("flags", [[], ["--float"]])
+def test_dichotomy_weights_must_sum_to_exactly_one(tmp_path, capsys, flags):
+    path = tmp_path / "mmi.json"
+    path.write_text(json.dumps(
+        {"weights": [["1/2", "1/2"], ["1/2", "5000000001/10000000000"]],
+         "B": [[0, 0], [1, 1]]}))
+    assert main(flags + ["dichotomy", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "marginal weights sum to 10000000001/10000000000, expected 1" in err
 
 
 def test_adversary_command(write_instance, capsys):
@@ -310,6 +338,12 @@ def test_mass_on_infinite_cost_pair_fails_verdicts(tmp_path, capsys, flags):
     assert verdicts == [{"claim": "reached a cyclically monotone plan",
                          "passed": False,
                          "witness": "support pair (0,1) has infinite cost"}]
+    assert main(flags + ["--json", "adversary", "--trials", "2",
+                         str(path)]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts == [{"claim": "no sampled toll beats the defended plan",
+                         "passed": False,
+                         "witness": "plan has infinite cost"}]
 
 
 def _family_cases():
@@ -402,6 +436,8 @@ def test_dichotomy_computes_each_bound_once(tmp_path, monkeypatch, capsys):
     assert main(["--json", "dichotomy", str(path)]) == 0
     assert {name: len(c) for name, c in calls.items()} == {
         "p_value": 1, "l_value": 1, "l_value_relaxed": 1, "solve_lp": 2}
+    # Columns: |B| = 6 tuples plus 9 marginal points, never the 27 cells.
+    assert all(len(costs) <= 6 + 9 for costs, *_ in calls["solve_lp"])
 
 
 # Arbitrary JSON, and instance-shaped documents that are mostly well formed,
@@ -444,16 +480,51 @@ def _document(draw):
     return doc
 
 
+@st.composite
+def _mmi_document(draw):
+    """A dichotomy instance: exact weights, sometimes nudged off a sum of 1
+    by 1e-10 or written as floats, and a B sometimes malformed."""
+    sizes = draw(st.lists(_size, min_size=2, max_size=3))
+    weights = [draw(_weights(size)) for size in sizes]
+    nudge = draw(st.sampled_from([None, None, "near", "float"]))
+    if nudge == "near":
+        step = Fraction(draw(st.sampled_from([1, -1])), 10**10)
+        weights[-1][-1] = str(Fraction(weights[-1][-1]) + step)
+    elif nudge == "float":
+        weights = [[float(Fraction(w)) for w in space] for space in weights]
+    cells = list(product(*map(range, sizes)))
+    b_set = [list(cell) for cell in
+             draw(st.lists(st.sampled_from(cells), max_size=6))]
+    corrupt = draw(st.sampled_from([None] * 4 + ["index", "arity", "B"]))
+    if corrupt == "index" and b_set:
+        b_set[0][draw(st.integers(0, len(sizes) - 1))] = draw(
+            st.sampled_from([-1, 3, 0.5, True]) | _json)
+    elif corrupt == "arity" and b_set:
+        b_set[0].append(0)
+    doc = {"weights": weights, "B": b_set}
+    if corrupt == "B":
+        doc["B"] = draw(_json)
+    return doc
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     command=st.sampled_from(
-        [["solve"], ["check"], ["improve"], ["adversary", "--trials", "2"]]),
+        [["solve"], ["check"], ["improve"], ["adversary", "--trials", "2"],
+         ["dichotomy"]]),
     flags=st.sampled_from([[], ["--float"], ["--json"]]),
-    instance=st.one_of(_document(), _document(), _document(), _json),
-    plan=st.one_of(st.none(), st.none(), _json,
-                   _document().map(lambda doc: doc.get("plan"))),
+    data=st.data(),
 )
-def test_any_json_exits_zero_one_or_two(command, flags, instance, plan):
+def test_any_json_exits_zero_one_or_two(command, flags, data):
+    if command == ["dichotomy"]:
+        instance = data.draw(st.one_of(_mmi_document(), _mmi_document(), _json))
+        plan = None
+    else:
+        instance = data.draw(
+            st.one_of(_document(), _document(), _document(), _json))
+        plan = data.draw(st.one_of(
+            st.none(), st.none(), _json,
+            _document().map(lambda doc: doc.get("plan"))))
     with tempfile.TemporaryDirectory() as work:
         instance_path = Path(work) / "instance.json"
         instance_path.write_text(json.dumps(instance))

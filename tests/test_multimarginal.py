@@ -16,6 +16,8 @@ from transport_certify import (
 )
 from transport_certify.multimarginal import mmi_from_dict, mmi_to_dict, rounded_cover
 
+from conftest import exhaustive_l_value, product_p_value
+
 HALF = Fraction(1, 2)
 
 
@@ -187,3 +189,112 @@ class TestInstanceHandling:
     def test_bad_weights_rejected(self):
         with pytest.raises(InstanceError, match="sum"):
             make_mmi([[HALF, HALF], [HALF, Fraction(1, 3)]], [])
+
+    def test_weights_must_sum_to_exactly_one(self):
+        near = HALF + Fraction(1, 10**10)
+        with pytest.raises(InstanceError, match="sum"):
+            make_mmi([[HALF, HALF], [HALF, near]], [(0, 0), (1, 1)])
+
+
+def plane_mmi(m):
+    """B_m = {(i, j, k) : i + j + k = m - 1} with uniform weights."""
+    return uniform_mmi(3, m, [tup for tup in product(range(m), repeat=3)
+                              if sum(tup) == m - 1])
+
+
+def random_mmi(rng):
+    """2-4 spaces of 2-4 points, weights with some zeros, B of random
+    density."""
+    sizes = [rng.randint(2, 4) for _ in range(rng.randint(2, 4))]
+    weights = []
+    for size in sizes:
+        raw = [rng.randint(0, 4) for _ in range(size)]
+        raw[rng.randrange(size)] += 1
+        weights.append([Fraction(r, sum(raw)) for r in raw])
+    density = rng.choice([0.1, 0.2, 0.35])
+    b_set = [tup for tup in product(*map(range, sizes))
+             if rng.random() < density]
+    return make_mmi(weights, b_set)
+
+
+def _oracle_cases():
+    rng = random.Random(2026)
+    yield "plane4", plane_mmi(4)
+    yield "plane5", plane_mmi(5)
+    for seed in range(100):
+        yield f"random-{seed}", random_mmi(rng)
+
+
+class TestAgainstProductOracles:
+    @pytest.mark.parametrize("name", ["plane4", "plane5", "random"])
+    def test_bounds_match_product_lp_and_full_enumeration(self, name):
+        cases = [mmi for case, mmi in _oracle_cases()
+                 if case.split("-")[0] == name]
+        for mmi in cases:
+            p_ref = product_p_value(mmi)
+            l_ref = exhaustive_l_value(mmi)
+            report = check_dichotomy(mmi)
+            assert (report.p, report.l_exact, report.l_relaxed) == (
+                p_ref, l_ref, p_ref)
+            assert report.l_shaped_null == (l_ref == 0)
+
+    def test_witness_is_a_coupling_with_mass_p_on_b(self):
+        for _, mmi in _oracle_cases():
+            p, witness = p_value(mmi, with_witness=True)
+            assert all(x > 0 for x in witness.values())
+            for space, weights in enumerate(mmi.weights):
+                for point, weight in enumerate(weights):
+                    assert sum(x for tup, x in witness.items()
+                               if tup[space] == point) == weight
+            assert sum(witness.get(tup, 0) for tup in mmi.b_set) == p
+
+    def test_cover_witness_covers_b_at_weight_l(self):
+        for _, mmi in _oracle_cases():
+            value, cover = l_value(mmi, with_witness=True)
+            assert all(any(tup[k] in cover[k] for k in range(mmi.n_spaces))
+                       for tup in mmi.b_set)
+            assert sum(mmi.weights[k][point] for k in range(mmi.n_spaces)
+                       for point in cover[k]) == value
+
+
+class TestDualityCertificate:
+    """check_dichotomy refuses a packing and cover that do not certify
+    each other, whichever part is off."""
+
+    CORNERS = uniform_mmi(3, 2, [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+
+    def _tamper(self, monkeypatch, name, change):
+        from transport_certify import multimarginal
+
+        original = getattr(multimarginal, name)
+        monkeypatch.setattr(multimarginal, name, lambda mmi, with_witness:
+                            change(*original(mmi, with_witness=True)))
+        with pytest.raises(InstanceError, match="certificate"):
+            check_dichotomy(self.CORNERS)
+
+    def test_refuses_cover_value_that_differs(self, monkeypatch):
+        # A feasible cover of twice the weight: no longer equal to p.
+        self._tamper(monkeypatch, "l_value_relaxed", lambda value, chi: (
+            2 * value, tuple(tuple(2 * x for x in side) for side in chi)))
+
+    def test_refuses_infeasible_cover(self, monkeypatch):
+        # Same weight and value, but tuple (0, 0, 1) is no longer covered.
+        self._tamper(monkeypatch, "l_value_relaxed", lambda value, chi: (
+            value, (tuple(reversed(chi[0])),) + chi[1:]))
+
+    def test_refuses_witness_with_wrong_marginals(self, monkeypatch):
+        def drop_cell_off_b(value, coupling):
+            coupling = dict(coupling)
+            del coupling[(1, 1, 1)]
+            return value, coupling
+        self._tamper(monkeypatch, "p_value", drop_cell_off_b)
+
+    def test_refuses_witness_with_other_mass_on_b(self, monkeypatch):
+        # An exchange that keeps every marginal but moves mass off B.
+        def exchange(value, coupling):
+            coupling = dict(coupling)
+            for cell, sign in (((1, 1, 1), -1), ((0, 1, 0), -1),
+                               ((0, 1, 1), 1), ((1, 1, 0), 1)):
+                coupling[cell] = coupling.get(cell, 0) + sign * Fraction(1, 8)
+            return value, coupling
+        self._tamper(monkeypatch, "p_value", exchange)
