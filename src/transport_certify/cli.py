@@ -143,16 +143,18 @@ def _policy_from_args(args) -> Policy:
     return RATIONAL
 
 
-def _load_plan(args, instance, embedded, policy):
+def _load_plan(args, instance, embedded, policy, report):
     """(plan, source, optimum): the --plan file, else the embedded plan, else
-    the solver's plan with its ``solve_exact`` result as optimum."""
+    the solver's plan with its ``solve_exact`` result as optimum, timed as
+    the report's ``solve`` stage."""
     if getattr(args, "plan", None):
         with open(args.plan) as handle:
             plan = plan_from_dict(json.load(handle), policy)
     elif embedded is not None:
         plan = embedded
     else:
-        optimum = solve_exact(instance, policy)
+        with _Timer(report, "solve"):
+            optimum = solve_exact(instance, policy)
         if not optimum.feasible:
             raise InstanceError("no finite plan exists and none was provided")
         return optimum.plan, "solver", optimum
@@ -179,7 +181,8 @@ def cmd_check(args) -> Report:
     policy = _policy_from_args(args)
     report = Report(command="check")
     instance, embedded = load_instance(args.instance, policy)
-    plan, source, optimum = _load_plan(args, instance, embedded, policy)
+    plan, source, optimum = _load_plan(args, instance, embedded, policy,
+                                       report)
     report.notes["plan_source"] = source
     report.notes["support_threshold"] = _fmt(policy.support_threshold)
     # The defense of (3) is built from the certificate of (4), so the
@@ -250,7 +253,7 @@ def cmd_improve(args) -> Report:
     policy = _policy_from_args(args)
     report = Report(command="improve")
     instance, embedded = load_instance(args.instance, policy)
-    plan, source, _ = _load_plan(args, instance, embedded, policy)
+    plan, source, _ = _load_plan(args, instance, embedded, policy, report)
     report.notes["plan_source"] = source
     with _Timer(report, "improve"):
         try:
@@ -401,7 +404,7 @@ def cmd_adversary(args) -> Report:
     policy = _policy_from_args(args)
     report = Report(command="adversary")
     instance, embedded = load_instance(args.instance, policy)
-    plan, source, _ = _load_plan(args, instance, embedded, policy)
+    plan, source, _ = _load_plan(args, instance, embedded, policy, report)
     report.notes["plan_source"] = source
     report.notes["seed"] = args.seed
     lam = tuple([args.lam] * args.z_size)

@@ -5,14 +5,24 @@ All numeric data is either exact (fractions.Fraction, the default) or float
 with an absolute comparison tolerance.  Infinite cost is a dedicated singleton,
 never a sentinel float, so that an expression like ``finite - INFINITY`` fails
 loudly instead of silently producing NaN-like garbage.
+
+This module owns the integer scale of the exact layers: each instance scales
+its finite costs once to integers over their least common denominator
+(``Instance.scaled_cost``), and the residual graph, the certificate
+verification and ``total_cost`` all run on those integers.  Masses are
+compared and summed through their integer numerators, so ``Fraction``
+values are built only for reported results.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from numbers import Rational
 from typing import Iterable
 
 
@@ -124,6 +134,40 @@ class InstanceError(ValueError):
     """Raised when an instance, plan, or support violates its invariants."""
 
 
+def integer_scale(values):
+    """(d, ints): the least common denominator d of the rational values and
+    each value times d, as an int."""
+    den = math.lcm(1, *(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+@dataclass(frozen=True)
+class ScaledCost:
+    """An instance's costs on one scale.
+
+    ``rows[x][y]`` is cost(x, y) times ``scale`` as an int, or INFINITY.
+    ``scale`` is the least common denominator of the finite costs; it is
+    None when some cost is a float, and then ``rows`` are the costs
+    themselves.
+    """
+
+    scale: int | None
+    rows: tuple
+
+
+def scale_tolerance(tolerance, scale):
+    """A comparison tolerance on an integer scale (None: unscaled).
+
+    Scaled values are ints, which differ by whole units, so
+    floor(tolerance * scale) decides every comparison as the exact product
+    would.
+    """
+    if scale is None:
+        return tolerance
+    tolerance = Fraction(tolerance)
+    return tolerance.numerator * scale // tolerance.denominator
+
+
 @dataclass(frozen=True)
 class Policy:
     """Arithmetic policy: exact rationals by default, opt-in floats.
@@ -214,6 +258,21 @@ class Instance:
     def finite_cost_values(self):
         return [entry for row in self.cost for entry in row if entry is not INFINITY]
 
+    @cached_property
+    def scaled_cost(self) -> ScaledCost:
+        """The costs on one integer scale, computed on first use and kept
+        for the instance's lifetime."""
+        try:
+            scale, ints = integer_scale(self.finite_cost_values())
+        except AttributeError:  # float costs have no denominator
+            return ScaledCost(scale=None, rows=self.cost)
+        ints = iter(ints)
+        rows = tuple(
+            tuple(entry if entry is INFINITY else next(ints) for entry in row)
+            for row in self.cost
+        )
+        return ScaledCost(scale=scale, rows=rows)
+
 
 @dataclass(frozen=True)
 class TransportPlan:
@@ -266,11 +325,26 @@ def make_plan(mass) -> TransportPlan:
     return TransportPlan(mass=_as_matrix(mass))
 
 
+# Float mode admits an instance only while FLOAT_HEADROOM * n * C is a
+# finite float, n = |X| + |Y| and C the largest finite cost.  A
+# residual-graph distance sums a simple path of fewer than n arcs, so it is
+# at most n * C in size; potentials are differences of two distances, dual
+# sums and slacks add two potentials and a cost, and the adversary's tolls
+# are a potential plus at most twice the cost spread, all within 8 * n * C.
+# The adversary's extension solves add such tolls and their potentials along
+# paths of n + 2z + 2 nodes, which stays finite while that count is below
+# 2**28.
+FLOAT_HEADROOM = 2**32
+
+
 def validate_instance(raw: Instance, policy: Policy = RATIONAL) -> Instance:
     """Check all instance invariants; renormalize near-unit marginal sums.
 
     Raises InstanceError on dimension mismatch, negative weights, marginal
-    sums off by more than the sum tolerance, or negative finite costs.
+    sums off by more than the sum tolerance, or negative finite costs; in
+    float mode also on costs large enough for path sums to overflow: the
+    largest finite cost times FLOAT_HEADROOM (2**32) times |X| + |Y| must
+    be a finite float.
     """
     if raw.x_size == 0 or raw.y_size == 0:
         raise InstanceError("instance must have at least one source and target")
@@ -292,6 +366,13 @@ def validate_instance(raw: Instance, policy: Policy = RATIONAL) -> Instance:
         for w in weights:
             if w is INFINITY or w < 0:
                 raise InstanceError(f"negative weight in {name}")
+    if not policy.exact:
+        largest = max(raw.finite_cost_values(), default=0)
+        nodes = raw.x_size + raw.y_size
+        if not largest * FLOAT_HEADROOM * nodes <= sys.float_info.max:
+            raise InstanceError(
+                f"cost {largest} is too large for float mode: path sums over "
+                f"{nodes} nodes can overflow; use exact mode")
     mu, nu = raw.mu, raw.nu
     for name, weights in (("mu", mu), ("nu", nu)):
         total = sum(weights)
@@ -329,21 +410,50 @@ def validate_plan(instance: Instance, plan: TransportPlan, policy: Policy = RATI
     return plan
 
 
+def _heavy_cells(plan: TransportPlan, threshold) -> list:
+    """(i, j, mass) of every cell with mass strictly above the threshold,
+    row-major.  A rational threshold is compared with rational masses
+    through their integer numerators and denominators."""
+    if isinstance(threshold, Rational):
+        num, den = threshold.numerator, threshold.denominator
+        try:
+            if num == 0:
+                return [(i, j, mass) for i, row in enumerate(plan.mass)
+                        for j, mass in enumerate(row) if mass.numerator > 0]
+            return [(i, j, mass) for i, row in enumerate(plan.mass)
+                    for j, mass in enumerate(row)
+                    if mass.numerator * den > num * mass.denominator]
+        except AttributeError:  # float masses have no numerator
+            pass
+    return [(i, j, mass) for i, row in enumerate(plan.mass)
+            for j, mass in enumerate(row) if mass > threshold]
+
+
 def total_cost(instance: Instance, plan: TransportPlan):
     """Mass-weighted cost sum; INFINITY iff positive mass sits on an
-    infinite-cost pair."""
+    infinite-cost pair.
+
+    On rational data the sum runs over integers, the masses on their common
+    denominator and the costs on ``instance.scaled_cost``, and one Fraction
+    is built for the result.
+    """
     if plan.x_size != instance.x_size or plan.y_size != instance.y_size:
         raise InstanceError("plan dimensions do not match instance")
-    acc = 0
-    for i, row in enumerate(plan.mass):
-        cost_row = instance.cost[i]
-        for j, mass in enumerate(row):
-            if mass > 0:
-                entry = cost_row[j]
-                if entry is INFINITY:
-                    return INFINITY
-                acc += mass * entry
-    return acc
+    scaled = instance.scaled_cost
+    cells = _heavy_cells(plan, 0.0 if scaled.scale is None else 0)
+    costs = [scaled.rows[i][j] for i, j, _ in cells]
+    if any(entry is INFINITY for entry in costs):
+        return INFINITY
+    if scaled.scale is not None:
+        try:
+            den, masses = integer_scale([mass for _, _, mass in cells])
+        except AttributeError:  # float masses have no denominator
+            pass
+        else:
+            return Fraction(
+                sum(mass * entry for mass, entry in zip(masses, costs)),
+                den * scaled.scale)
+    return sum(mass * instance.cost[i][j] for i, j, mass in cells)
 
 
 def support(plan: TransportPlan, threshold=None, policy: Policy = RATIONAL) -> SupportSet:
@@ -352,13 +462,8 @@ def support(plan: TransportPlan, threshold=None, policy: Policy = RATIONAL) -> S
         threshold = policy.support_threshold
     if threshold < 0:
         raise InstanceError("support threshold must be nonnegative")
-    pairs = tuple(
-        (i, j)
-        for i, row in enumerate(plan.mass)
-        for j, mass in enumerate(row)
-        if mass > threshold
-    )
-    return SupportSet(pairs=pairs)
+    return SupportSet(pairs=tuple((i, j) for i, j, _ in
+                                  _heavy_cells(plan, threshold)))
 
 
 def marginals(plan: TransportPlan):

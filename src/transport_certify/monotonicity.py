@@ -12,6 +12,11 @@ negative cycle, its distances are the strong-monotonicity certificate (see
 ``potentials``).  The graph's strongly connected components are the
 connecting classes and its shortest distances to an anchor target are the
 chain potentials.
+
+On rational data the arc weights are the instance's integer-scaled costs
+(``Instance.scaled_cost``, scaled once per instance and shared by every
+graph built on it), so the search runs on ints and only a reported gap
+becomes a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ from .core import (
     RATIONAL,
     SupportSet,
     TransportPlan,
+    scale_tolerance,
     support,
     total_cost,
 )
-from .solver import integer_scale
 
 
 @dataclass(frozen=True)
@@ -39,9 +44,10 @@ class ResidualGraph:
     """Nodes 0..x_size-1 are the sources, x_size + y is target y; arcs[u]
     lists (node, weight).
 
-    In rational mode every weight and ``tolerance`` is an int, the cost
-    times ``scale``, the common denominator of the costs; in float mode
-    ``scale`` is None and the weights are the costs themselves.
+    On rational costs every weight is an int, the cost times ``scale``, the
+    common denominator of the costs, and ``tolerance`` is on the same scale;
+    on float costs ``scale`` is None and the weights are the costs
+    themselves.
     """
 
     x_size: int
@@ -69,25 +75,21 @@ def residual_graph(instance: Instance, support_set: SupportSet,
     """The residual graph of the support; a support pair of infinite cost is
     an error."""
     x_size = instance.x_size
-    weight = {
-        (x, y): entry
-        for x, row in enumerate(instance.cost)
-        for y, entry in enumerate(row)
-        if entry is not INFINITY
-    }
-    scale, tolerance = None, policy.tolerance
-    if policy.exact:
-        scale, scaled = integer_scale([tolerance, *weight.values()])
-        tolerance, weight = scaled[0], dict(zip(weight, scaled[1:]))
-    arcs = [[] for _ in range(x_size + instance.y_size)]
-    for (x, y), w in weight.items():
-        arcs[x].append((x_size + y, w))
+    scaled = instance.scaled_cost
+    arcs = [
+        [(x_size + y, w) for y, w in enumerate(row) if w is not INFINITY]
+        for row in scaled.rows
+    ]
+    arcs += [[] for _ in range(instance.y_size)]
     for x, y in support_set.pairs:
-        if (x, y) not in weight:
+        w = scaled.rows[x][y]
+        if w is INFINITY:
             raise InstanceError(f"support pair ({x},{y}) has infinite cost")
-        arcs[x_size + y].append((x, -weight[(x, y)]))
+        arcs[x_size + y].append((x, -w))
     return ResidualGraph(x_size=x_size, arcs=tuple(map(tuple, arcs)),
-                         scale=scale, tolerance=tolerance)
+                         scale=scaled.scale,
+                         tolerance=scale_tolerance(policy.tolerance,
+                                                   scaled.scale))
 
 
 def _bellman_ford(arcs, dist, tolerance, passes):

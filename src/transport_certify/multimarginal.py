@@ -22,9 +22,8 @@ from fractions import Fraction
 from itertools import product
 from math import prod
 
-from .core import InstanceError, format_scalar, RATIONAL
+from .core import InstanceError, RATIONAL, format_scalar, integer_scale
 from .simplex import solve_lp
-from .solver import integer_scale
 
 MAX_PRODUCT_CELLS = 10**4
 MAX_EXACT_COVER_POINTS = 20

@@ -16,11 +16,18 @@ d(y) <= d(x) + cost(x, y) on every finite cost and d(x) <= d(y) - cost(x, y)
 on every support pair, so phi(x) = d(x_anchor) - d(x) and
 psi(y) = d(y) - d(x_anchor) are feasible everywhere and tight on the
 support, across all connecting classes at once.
+
+The certificate is re-verified on the full product in the instance's integer
+scale: the costs of ``Instance.scaled_cost`` against the settled integer
+distances, with the tolerance on the same scale.  ``Fraction`` appears only
+in what is reported: the ``PotentialPair`` and the report's slack and
+residual, all in cost units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import (
     INFINITY,
@@ -31,6 +38,8 @@ from .core import (
     RATIONAL,
     SupportSet,
     TransportPlan,
+    integer_scale,
+    scale_tolerance,
     support,
 )
 from .connectivity import decompose_graph
@@ -121,54 +130,52 @@ def c_transform(instance: Instance, phi, domain,
     return tuple(values)
 
 
-def _dual_sum(phi_value, psi_value):
-    if phi_value is NEG_INFINITY or psi_value is NEG_INFINITY:
-        return NEG_INFINITY
-    return phi_value + psi_value
-
-
-def verify_strong_monotonicity(instance: Instance, plan: TransportPlan,
-                               pair: PotentialPair,
-                               policy: Policy = RATIONAL) -> VerifyReport:
-    """Check phi + psi <= cost everywhere and equality on the support.
-
-    Failures are report content, never exceptions.
-    """
+def _verify(rows, phi, psi, pairs, tolerance, scale) -> VerifyReport:
+    """Check phi + psi <= cost on every finite cell and equality on the
+    support pairs, all on one scale: ``rows`` are the costs with INFINITY
+    entries, phi and psi are numbers or NEG_INFINITY, and ``scale`` turns
+    the reported slack and residual back into cost units (None: already
+    there).  Cells with a NEG_INFINITY potential are skipped; the worst
+    cells are the first extremes in row-major order.  A NaN fails every
+    comparison and so fails the check."""
     min_slack = None
     worst_pair = None
     feasible = True
-    for x in range(instance.x_size):
-        for y in range(instance.y_size):
-            entry = instance.cost[x][y]
-            lhs = _dual_sum(pair.phi[x], pair.psi[y])
-            if lhs is NEG_INFINITY:
+    lowest = -tolerance
+    for x, (p, row) in enumerate(zip(phi, rows)):
+        if p is NEG_INFINITY:
+            continue
+        for y, (entry, q) in enumerate(zip(row, psi)):
+            if entry is INFINITY or q is NEG_INFINITY:
                 continue
-            if entry is INFINITY:
-                continue
-            slack = entry - lhs
+            slack = entry - (p + q)
             if min_slack is None or slack < min_slack:
                 min_slack = slack
                 worst_pair = (x, y)
-            if slack < -policy.tolerance:
+            if not slack >= lowest:
                 feasible = False
     max_residual = None
     worst_support_pair = None
     tight = True
-    for x, y in support(plan, policy=policy).pairs:
-        entry = instance.cost[x][y]
-        lhs = _dual_sum(pair.phi[x], pair.psi[y])
-        if entry is INFINITY or lhs is NEG_INFINITY:
+    for x, y in pairs:
+        entry, p, q = rows[x][y], phi[x], psi[y]
+        if entry is INFINITY or p is NEG_INFINITY or q is NEG_INFINITY:
             tight = False
             max_residual = INFINITY
             worst_support_pair = (x, y)
             continue
-        residual = abs(entry - lhs)
+        residual = abs(entry - (p + q))
         if max_residual is None or (max_residual is not INFINITY
                                     and residual > max_residual):
             max_residual = residual
             worst_support_pair = (x, y)
-        if residual > policy.tolerance:
+        if not residual <= tolerance:
             tight = False
+    if scale is not None:
+        if min_slack is not None:
+            min_slack = Fraction(min_slack, scale)
+        if max_residual is not None and max_residual is not INFINITY:
+            max_residual = Fraction(max_residual, scale)
     return VerifyReport(
         ok=feasible and tight,
         feasible_everywhere=feasible,
@@ -178,6 +185,41 @@ def verify_strong_monotonicity(instance: Instance, plan: TransportPlan,
         max_residual=max_residual,
         worst_support_pair=worst_support_pair,
     )
+
+
+def verify_strong_monotonicity(instance: Instance, plan: TransportPlan,
+                               pair: PotentialPair,
+                               policy: Policy = RATIONAL) -> VerifyReport:
+    """Check phi + psi <= cost everywhere and equality on the support.
+
+    Rational potentials are scaled together with the costs, once, to
+    integers over their common denominator, with the tolerance on the same
+    scale; float data is checked as it is.  Failures are report content,
+    never exceptions.
+    """
+    pairs = support(plan, policy=policy).pairs
+    scaled = instance.scaled_cost
+    values = pair.phi + pair.psi
+    finite = [v for v in values if v is not NEG_INFINITY]
+    scale = None
+    if scaled.scale is not None:
+        try:
+            scale, ints = integer_scale([Fraction(1, scaled.scale), *finite])
+        except AttributeError:  # float potentials have no denominator
+            pass
+    if scale is None:
+        return _verify(instance.cost, pair.phi, pair.psi, pairs,
+                       policy.tolerance, None)
+    factor = scale // scaled.scale
+    rows = scaled.rows if factor == 1 else tuple(
+        tuple(entry if entry is INFINITY else entry * factor for entry in row)
+        for row in scaled.rows
+    )
+    ints = iter(ints[1:])
+    values = [v if v is NEG_INFINITY else next(ints) for v in values]
+    x_size = instance.x_size
+    return _verify(rows, values[:x_size], values[x_size:], pairs,
+                   scale_tolerance(policy.tolerance, scale), scale)
 
 
 def certify_strong(instance: Instance, plan: TransportPlan,
@@ -201,12 +243,15 @@ def certify_strong(instance: Instance, plan: TransportPlan,
     classes = decompose_graph(graph).classes
     anchor = sup.pairs[0]
     base = dist[anchor[0]]
+    phi = [base - d for d in dist[:graph.x_size]]
+    psi = [d - base for d in dist[graph.x_size:]]
+    report = _verify(instance.scaled_cost.rows, phi, psi, sup.pairs,
+                     graph.tolerance, graph.scale)
     pair = PotentialPair(
-        phi=tuple(graph.in_cost_units(base - d) for d in dist[:graph.x_size]),
-        psi=tuple(graph.in_cost_units(d - base) for d in dist[graph.x_size:]),
+        phi=tuple(map(graph.in_cost_units, phi)),
+        psi=tuple(map(graph.in_cost_units, psi)),
         anchor=anchor,
     )
-    report = verify_strong_monotonicity(instance, plan, pair, policy)
     if not report.ok:
         return CertifyResult(
             ok=False,

@@ -17,7 +17,6 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
 
 from .core import (
     INFINITY,
@@ -26,6 +25,7 @@ from .core import (
     Policy,
     RATIONAL,
     TransportPlan,
+    integer_scale,
     total_cost,
 )
 
@@ -146,13 +146,6 @@ def _min_cost_flow(n_src, n_dst, arcs, supply, demand, zero):
             flows[(i, j)] = sent
             objective += sent * c
     return flows, objective
-
-
-def integer_scale(values):
-    """(d, ints): the least common denominator d of the rational values and
-    each value times d, as an int."""
-    den = lcm(1, *(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def solve_transport(mu, nu, cost, policy: Policy = RATIONAL):

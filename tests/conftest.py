@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's own algorithms: cycle
 violations are found by exhaustive enumeration, reachability by naive
 transitive closure, feasible plans by randomized greedy filling, the
 multi-marginal p by an LP over every product cell and l by trying every
-subset of every space.
+subset of every space.  The certificate check, the support and the plan cost
+are recomputed cell by cell in the instance's own numbers (Fractions or
+floats), with no integer scaling.
 """
 
 from __future__ import annotations
@@ -15,7 +17,16 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from transport_certify import INFINITY, TransportPlan, make_instance, validate_instance
+from transport_certify import (
+    INFINITY,
+    NEG_INFINITY,
+    RATIONAL,
+    SupportSet,
+    TransportPlan,
+    make_instance,
+    validate_instance,
+)
+from transport_certify.potentials import VerifyReport
 from transport_certify.simplex import solve_lp
 
 
@@ -128,6 +139,82 @@ def random_feasible_plan(instance, rng: random.Random) -> TransportPlan:
     assert all(v == 0 for v in remaining_mu)
     assert all(v == 0 for v in remaining_nu)
     return TransportPlan(mass=tuple(tuple(row) for row in mass))
+
+
+def reference_support(plan, policy=RATIONAL):
+    """Pairs with mass above the policy's support threshold, row-major."""
+    return SupportSet(pairs=tuple(
+        (i, j)
+        for i, row in enumerate(plan.mass)
+        for j, mass in enumerate(row)
+        if mass > policy.support_threshold
+    ))
+
+
+def reference_total_cost(instance, plan):
+    """Mass-weighted cost sum, INFINITY on positive mass at infinite cost."""
+    acc = 0
+    for i, row in enumerate(plan.mass):
+        for j, mass in enumerate(row):
+            if mass > 0:
+                entry = instance.cost[i][j]
+                if entry is INFINITY:
+                    return INFINITY
+                acc += mass * entry
+    return acc
+
+
+def _dual_sum(phi_value, psi_value):
+    if phi_value is NEG_INFINITY or psi_value is NEG_INFINITY:
+        return NEG_INFINITY
+    return phi_value + psi_value
+
+
+def reference_verify(instance, plan, pair, policy=RATIONAL):
+    """phi + psi <= cost on every finite cell and equality on the support,
+    checked cell by cell in the instance's numbers."""
+    min_slack = None
+    worst_pair = None
+    feasible = True
+    for x in range(instance.x_size):
+        for y in range(instance.y_size):
+            entry = instance.cost[x][y]
+            lhs = _dual_sum(pair.phi[x], pair.psi[y])
+            if lhs is NEG_INFINITY or entry is INFINITY:
+                continue
+            slack = entry - lhs
+            if min_slack is None or slack < min_slack:
+                min_slack = slack
+                worst_pair = (x, y)
+            if slack < -policy.tolerance:
+                feasible = False
+    max_residual = None
+    worst_support_pair = None
+    tight = True
+    for x, y in reference_support(plan, policy).pairs:
+        entry = instance.cost[x][y]
+        lhs = _dual_sum(pair.phi[x], pair.psi[y])
+        if entry is INFINITY or lhs is NEG_INFINITY:
+            tight = False
+            max_residual = INFINITY
+            worst_support_pair = (x, y)
+            continue
+        residual = abs(entry - lhs)
+        if max_residual is None or (max_residual is not INFINITY
+                                    and residual > max_residual):
+            max_residual = residual
+            worst_support_pair = (x, y)
+        if residual > policy.tolerance:
+            tight = False
+    return VerifyReport(
+        ok=feasible and tight,
+        feasible_everywhere=feasible,
+        tight_on_support=tight,
+        min_slack=min_slack,
+        worst_pair=worst_pair,
+        max_residual=max_residual,
+        worst_support_pair=worst_support_pair,
+    )
 
 
 def product_p_value(mmi):

@@ -317,7 +317,7 @@ def test_check_marks_robust_as_derived(write_instance, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["notes"]["derived"] == {"(3)": "(4)"}
     assert report["notes"]["by_construction"] == ["robust == strong"]
-    assert list(report["timings"]) == ["optimal", "strong", "robust"]
+    assert list(report["timings"]) == ["solve", "optimal", "strong", "robust"]
 
 
 @pytest.mark.parametrize("flags", [[], ["--float"]])
@@ -344,6 +344,45 @@ def test_mass_on_infinite_cost_pair_fails_verdicts(tmp_path, capsys, flags):
     assert verdicts == [{"claim": "no sampled toll beats the defended plan",
                          "passed": False,
                          "witness": "plan has infinite cost"}]
+
+
+_OVERFLOW = {
+    "mu": ["1/3", "1/3", "1/3"], "nu": ["1/3", "1/3", "1/3"],
+    "cost": [[1.7e308, 1.7e308, 0], [1.7e308, 0, 1.7e308],
+             [0, 1.7e308, 1.7e308]],
+    "plan": [["1/3", 0, 0], [0, "1/3", 0], [0, 0, "1/3"]],
+}
+
+
+@pytest.mark.parametrize("command", [["solve"], ["check"], ["improve"],
+                                     ["adversary", "--trials", "2"]])
+def test_float_overflow_rejected_at_load(tmp_path, capsys, command):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_OVERFLOW))
+    assert main(["--float", "--json", *command, str(path)]) == 2
+    assert "too large for float mode" in capsys.readouterr().err
+
+
+def test_overflow_instance_fails_with_cycle_in_rational_mode(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_OVERFLOW))
+    assert main(["--json", "check", str(path)]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [v["passed"] for v in verdicts] == [False] * 4 + [True]
+    assert verdicts[1]["witness"]["pairs"] == [[0, 0], [2, 2]]
+
+
+@pytest.mark.parametrize("command", [["check"], ["improve"],
+                                     ["adversary", "--trials", "2"]])
+def test_base_solve_is_timed(write_instance, capsys, command):
+    inst = gen_random(3, 2)
+    for plan, timed in ((None, True), (solve_exact(inst).plan, False)):
+        path = write_instance(inst, plan)
+        assert main(["--json", *command, path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["notes"]["plan_source"] == ("solver" if timed
+                                                  else "input")
+        assert ("solve" in report["timings"]) == timed
 
 
 def _family_cases():

@@ -1,5 +1,6 @@
 """Chain potentials, c-transform, and the strong-monotonicity certificate."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,10 +11,16 @@ from transport_certify import (
     NEG_INFINITY,
     InstanceError,
     PotentialPair,
+    RATIONAL,
+    TransportPlan,
     c_transform,
     certify_strong,
     chain_potential,
     check_c_monotone,
+    float_policy,
+    instance_from_dict,
+    instance_to_dict,
+    make_plan,
     residual_graph,
     solve_exact,
     support,
@@ -21,12 +28,20 @@ from transport_certify import (
     verify_strong_monotonicity,
 )
 from transport_certify.generators import (
+    gen_ap,
     gen_blocks,
     gen_random,
+    gen_shift,
     gen_zero_one,
     zero_one_diagonal_plan,
 )
-from conftest import permutation_plan, uniform_instance
+from conftest import (
+    permutation_plan,
+    reference_support,
+    reference_total_cost,
+    reference_verify,
+    uniform_instance,
+)
 
 
 class TestChainPotential:
@@ -346,6 +361,122 @@ class TestCertifyStrong:
             assert dual_value == result.value
             certified += 1
         assert certified >= 5
+
+
+def _oracle_cases():
+    """About 120 seeded instances of five families; each is checked with
+    the solver's plan and the product plan."""
+    for seed in range(80):
+        n = 2 + seed % 11
+        yield gen_random(n, 7700 + seed, inf_density=(0, 0.3, 0.6)[seed % 3])
+    for seed in range(16):
+        yield gen_blocks((1 + seed % 3, 2, 2 + seed % 4), seed)
+    for n in range(2, 10):
+        yield gen_zero_one(n)
+        yield gen_shift(n)
+        yield gen_ap(n, 1, 2)
+
+
+def _tampered_pairs(inst, plan, pair, step):
+    """The pair, one phi raised by ``step``, and one support potential set
+    to NEG_INFINITY."""
+    x, y = support(plan).pairs[-1]
+    raised = list(pair.phi)
+    raised[0] = raised[0] + step if raised[0] is not NEG_INFINITY else step
+    cut_phi, cut_psi = list(pair.phi), list(pair.psi)
+    if (x + y) % 2:
+        cut_phi[x] = NEG_INFINITY
+    else:
+        cut_psi[y] = NEG_INFINITY
+    return [pair,
+            PotentialPair(phi=tuple(raised), psi=pair.psi, anchor=pair.anchor),
+            PotentialPair(phi=tuple(cut_phi), psi=tuple(cut_psi),
+                          anchor=pair.anchor)]
+
+
+class TestIntegerCertification:
+    def test_matches_fraction_and_float_oracles(self):
+        policy = float_policy()
+        checked = 0
+        failed = 0
+        for inst in _oracle_cases():
+            result = solve_exact(inst)
+            if not result.feasible:
+                continue
+            den = math.lcm(*(entry.denominator for entry in
+                             inst.finite_cost_values()))
+            product = make_plan([[a * b for b in inst.nu] for a in inst.mu])
+            approx = instance_from_dict(instance_to_dict(inst), policy)
+            for plan in (result.plan, product):
+                assert support(plan) == reference_support(plan)
+                assert total_cost(inst, plan) == reference_total_cost(inst,
+                                                                      plan)
+                floats = TransportPlan(mass=tuple(
+                    tuple(float(m) for m in row) for row in plan.mass))
+                assert support(floats, policy=policy) == reference_support(
+                    floats, policy)
+                assert total_cost(approx, floats) == reference_total_cost(
+                    approx, floats)
+            cert = certify_strong(inst, result.plan)
+            assert cert.ok and cert.report == reference_verify(
+                inst, result.plan, cert.pair)
+            approx_plan = solve_exact(approx, policy).plan
+            approx_cert = certify_strong(approx, approx_plan, policy)
+            assert approx_cert.report == reference_verify(
+                approx, approx_plan, approx_cert.pair, policy)
+            cases = [(inst, plan, pair, RATIONAL)
+                     for plan in (result.plan, product)
+                     for pair in _tampered_pairs(inst, result.plan, cert.pair,
+                                                 Fraction(1, den))]
+            cases += [(approx, approx_plan, pair, policy)
+                      for pair in _tampered_pairs(approx, approx_plan,
+                                                  approx_cert.pair, 1 / den)]
+            for instance, plan, pair, mode in cases:
+                report = verify_strong_monotonicity(instance, plan, pair, mode)
+                assert report == reference_verify(instance, plan, pair, mode)
+                failed += not report.ok
+            checked += 1
+        assert checked >= 100
+        assert failed >= 2 * checked
+
+    def test_no_fraction_arithmetic_per_cell(self, monkeypatch):
+        # One Fraction operation per cell of the 40x40 product (or per
+        # support pair) would put the count far above |X| + |Y| = 80.
+        inst = gen_random(40, 1)
+        plan = solve_exact(inst).plan
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+                     "__abs__", "__lt__", "__le__", "__gt__", "__ge__",
+                     "__eq__", "__bool__"):
+            original = getattr(Fraction, name)
+
+            def counting(*args, _original=original):
+                calls.append(1)
+                return _original(*args)
+
+            monkeypatch.setattr(Fraction, name, counting)
+        counts = {}
+        for name, run in (("certify_strong", lambda: certify_strong(inst, plan)),
+                          ("total_cost", lambda: total_cost(inst, plan)),
+                          ("support", lambda: support(plan))):
+            calls.clear()
+            run()
+            counts[name] = len(calls)
+        monkeypatch.undo()
+        assert all(count < 80 for count in counts.values()), counts
+
+    def test_nan_potential_fails_in_float_mode(self, square_instance):
+        policy = float_policy()
+        inst = instance_from_dict(instance_to_dict(square_instance), policy)
+        plan = TransportPlan(mass=((0.5, 0.0), (0.0, 0.5)))
+        nan = float("nan")
+        for phi, psi in (((nan, nan), (nan, nan)), ((0.0, 1.0), (0.0, nan))):
+            pair = PotentialPair(phi=phi, psi=psi, anchor=(0, 0))
+            report = verify_strong_monotonicity(inst, plan, pair, policy)
+            assert not report.ok
+            assert not report.feasible_everywhere
+            assert not report.tight_on_support
 
 
 class TestFloatMode:

@@ -5,6 +5,7 @@ import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transport_certify import (
     INFINITY,
@@ -229,27 +230,37 @@ def _oracle_instances():
         yield gen_blocks((1 + seed % 3, 2, 3 + seed % 2), seed)
 
 
+def _linprog(inst):
+    """scipy's HiGHS result for the transport LP over the finite cells,
+    None when every cost is infinite; asserts it is optimal or infeasible."""
+    from scipy.optimize import linprog
+
+    n_src, n_dst = inst.x_size, inst.y_size
+    cells = [(i, j) for i in range(n_src) for j in range(n_dst)
+             if inst.cost[i][j] is not INFINITY]
+    if not cells:
+        return None
+    rows = [[1.0 if i == r else 0.0 for i, _ in cells] for r in range(n_src)]
+    rows += [[1.0 if j == c else 0.0 for _, j in cells] for c in range(n_dst)]
+    reference = linprog(
+        [float(inst.cost[i][j]) for i, j in cells],
+        A_eq=rows,
+        b_eq=[float(w) for w in inst.mu + inst.nu],
+        bounds=[(0, None)] * len(cells),
+        method="highs",
+    )
+    assert reference.status in (0, 2)
+    return reference
+
+
 def test_solver_matches_linprog_oracle():
     pytest.importorskip("scipy")
-    from scipy.optimize import linprog
 
     policy = float_policy()
     counts = {True: 0, False: 0}
     for inst in _oracle_instances():
-        n_src, n_dst = inst.x_size, inst.y_size
-        cells = [(i, j) for i in range(n_src) for j in range(n_dst)
-                 if inst.cost[i][j] is not INFINITY]
-        rows = [[1.0 if i == r else 0.0 for i, _ in cells] for r in range(n_src)]
-        rows += [[1.0 if j == c else 0.0 for _, j in cells] for c in range(n_dst)]
-        reference = linprog(
-            [float(inst.cost[i][j]) for i, j in cells],
-            A_eq=rows,
-            b_eq=[float(w) for w in inst.mu + inst.nu],
-            bounds=[(0, None)] * len(cells),
-            method="highs",
-        ) if cells else None
+        reference = _linprog(inst)
         feasible = reference is not None and reference.status == 0
-        assert feasible or reference is None or reference.status == 2
         result = solve_exact(inst)
         assert result.feasible == feasible
         approx = solve_exact(instance_from_dict(instance_to_dict(inst), policy),
@@ -261,3 +272,35 @@ def test_solver_matches_linprog_oracle():
             assert total_cost(inst, result.plan) == result.value
             assert abs(approx.value - float(result.value)) < 1e-9
     assert counts[True] >= 150 and counts[False] >= 60
+
+
+@st.composite
+def _large_instances(draw):
+    """Up to 30x30, random marginals with zeros, rational costs with
+    denominators up to 6, and up to 85% infinite entries."""
+    n_src, n_dst = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    inf_density = draw(st.sampled_from([0, 0.3, 0.6, 0.85]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    mu = [rng.randint(0, 9) for _ in range(n_src)]
+    nu = [rng.randint(0, 9) for _ in range(n_dst)]
+    mu[0] += 1
+    nu[0] += 1
+    cost = [[INFINITY if rng.random() < inf_density
+             else Fraction(rng.randint(0, 60), rng.randint(1, 6))
+             for _ in range(n_dst)] for _ in range(n_src)]
+    return Instance(mu=tuple(Fraction(w, sum(mu)) for w in mu),
+                    nu=tuple(Fraction(w, sum(nu)) for w in nu),
+                    cost=tuple(map(tuple, cost)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_large_instances())
+def test_solver_matches_linprog_up_to_30x30(inst):
+    pytest.importorskip("scipy")
+    reference = _linprog(inst)
+    feasible = reference is not None and reference.status == 0
+    result = solve_exact(inst)
+    assert result.feasible == feasible
+    if feasible:
+        assert abs(float(result.value) - reference.fun) < 1e-7
+        assert total_cost(inst, result.plan) == result.value
