@@ -417,9 +417,6 @@ def _heavy_cells(plan: TransportPlan, threshold) -> list:
     if isinstance(threshold, Rational):
         num, den = threshold.numerator, threshold.denominator
         try:
-            if num == 0:
-                return [(i, j, mass) for i, row in enumerate(plan.mass)
-                        for j, mass in enumerate(row) if mass.numerator > 0]
             return [(i, j, mass) for i, row in enumerate(plan.mass)
                     for j, mass in enumerate(row)
                     if mass.numerator * den > num * mass.denominator]
@@ -439,8 +436,8 @@ def total_cost(instance: Instance, plan: TransportPlan):
     """
     if plan.x_size != instance.x_size or plan.y_size != instance.y_size:
         raise InstanceError("plan dimensions do not match instance")
+    cells = _heavy_cells(plan, 0)
     scaled = instance.scaled_cost
-    cells = _heavy_cells(plan, 0.0 if scaled.scale is None else 0)
     costs = [scaled.rows[i][j] for i, j, _ in cells]
     if any(entry is INFINITY for entry in costs):
         return INFINITY
@@ -453,7 +450,10 @@ def total_cost(instance: Instance, plan: TransportPlan):
             return Fraction(
                 sum(mass * entry for mass, entry in zip(masses, costs)),
                 den * scaled.scale)
-    return sum(mass * instance.cost[i][j] for i, j, mass in cells)
+    acc = 0
+    for i, j, mass in cells:
+        acc += mass * instance.cost[i][j]
+    return acc
 
 
 def support(plan: TransportPlan, threshold=None, policy: Policy = RATIONAL) -> SupportSet:

@@ -21,7 +21,8 @@ The certificate is re-verified on the full product in the instance's integer
 scale: the costs of ``Instance.scaled_cost`` against the settled integer
 distances, with the tolerance on the same scale.  ``Fraction`` appears only
 in what is reported: the ``PotentialPair`` and the report's slack and
-residual, all in cost units.
+residual, all in cost units.  ``verify_strong_monotonicity`` runs the same
+check on a given pair against the costs as they are.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ from .core import (
     RATIONAL,
     SupportSet,
     TransportPlan,
-    integer_scale,
-    scale_tolerance,
     support,
 )
 from .connectivity import decompose_graph
@@ -192,34 +191,13 @@ def verify_strong_monotonicity(instance: Instance, plan: TransportPlan,
                                policy: Policy = RATIONAL) -> VerifyReport:
     """Check phi + psi <= cost everywhere and equality on the support.
 
-    Rational potentials are scaled together with the costs, once, to
-    integers over their common denominator, with the tolerance on the same
-    scale; float data is checked as it is.  Failures are report content,
-    never exceptions.
+    The pair is checked against the instance's costs as given, exactly on
+    rational data; ``certify_strong`` runs the same loop on the integer
+    scale.  Failures are report content, never exceptions.
     """
     pairs = support(plan, policy=policy).pairs
-    scaled = instance.scaled_cost
-    values = pair.phi + pair.psi
-    finite = [v for v in values if v is not NEG_INFINITY]
-    scale = None
-    if scaled.scale is not None:
-        try:
-            scale, ints = integer_scale([Fraction(1, scaled.scale), *finite])
-        except AttributeError:  # float potentials have no denominator
-            pass
-    if scale is None:
-        return _verify(instance.cost, pair.phi, pair.psi, pairs,
-                       policy.tolerance, None)
-    factor = scale // scaled.scale
-    rows = scaled.rows if factor == 1 else tuple(
-        tuple(entry if entry is INFINITY else entry * factor for entry in row)
-        for row in scaled.rows
-    )
-    ints = iter(ints[1:])
-    values = [v if v is NEG_INFINITY else next(ints) for v in values]
-    x_size = instance.x_size
-    return _verify(rows, values[:x_size], values[x_size:], pairs,
-                   scale_tolerance(policy.tolerance, scale), scale)
+    return _verify(instance.cost, pair.phi, pair.psi, pairs,
+                   policy.tolerance, None)
 
 
 def certify_strong(instance: Instance, plan: TransportPlan,
