@@ -7,7 +7,13 @@ storage.  Against those tolls (or any pointwise-higher ones) the defended
 plan stays optimal.  The adversarial search samples random toll matrices at
 or above the certified floor when a certificate exists; without one it
 samples unconstrained tolls, where a strictly better extended plan
-witnesses non-robustness.
+witnesses non-robustness.  Each toll is its floor plus k sixteenths of
+the cost spread, k drawn by a seeded ``randint(0, 32)`` in a fixed order.
+In rational mode the trials run on integers: the masses on their common
+denominator and the costs, floors and tolls in units of 1 / (16 * scale)
+of a cost unit, ``scale`` being the instance's cost scale, so each trial
+solves an integer network and builds one Fraction, its optimum.  Float
+mode runs the same trials on floats.
 """
 
 from __future__ import annotations
@@ -24,10 +30,15 @@ from .core import (
     Policy,
     RATIONAL,
     TransportPlan,
+    integer_scale,
     total_cost,
 )
 from .potentials import CertifyResult, PotentialPair, certify_strong
-from .solver import solve_exact
+from .solver import solve_exact, solve_transport
+
+# The sampled tolls rise in steps of 1/16 of the cost spread, at most 32 of
+# them above the floor.
+_GRANULARITY = 16
 
 
 @dataclass(frozen=True)
@@ -73,14 +84,26 @@ def _toll(value, zero):
     return value if value > zero else zero
 
 
-def _extended_cost(instance: Instance, x_tolls, y_tolls, zero) -> tuple:
-    """Cost rows of an extension: each source row followed by x_tolls[x],
-    its tolls into the storage points, then one row per storage point k of
-    y_tolls[k], its tolls out to the targets, and zero cost inside storage."""
-    rows = [tuple(instance.cost[x]) + tuple(x_tolls[x])
-            for x in range(instance.x_size)]
-    rows += [tuple(tolls) + (zero,) * len(y_tolls) for tolls in y_tolls]
-    return tuple(rows)
+def _storage_weights(lam, z_size: int, policy: Policy) -> tuple:
+    """The storage weights as numbers of the policy: exactly z_size of
+    them, each nonnegative."""
+    lam = tuple(policy.number(v) for v in lam)
+    if len(lam) != z_size:
+        raise InstanceError(f"lambda has {len(lam)} entries, expected {z_size}")
+    for v in lam:
+        if v < 0:
+            raise InstanceError("storage weights must be nonnegative")
+    return lam
+
+
+def _extended_cost(rows, x_tolls, y_tolls, zero) -> tuple:
+    """Cost rows of an extension: each of the cost ``rows`` followed by
+    x_tolls[x], its tolls into the storage points, then one row per storage
+    point k of y_tolls[k], its tolls out to the targets, and zero cost
+    inside storage."""
+    ext = [tuple(row) + tuple(tolls) for row, tolls in zip(rows, x_tolls)]
+    ext += [tuple(tolls) + (zero,) * len(y_tolls) for tolls in y_tolls]
+    return tuple(ext)
 
 
 def build_extension(instance: Instance, pair: PotentialPair, z_size: int,
@@ -89,18 +112,13 @@ def build_extension(instance: Instance, pair: PotentialPair, z_size: int,
 
     Sources with phi = -inf get zero tolls, keeping every access arc finite.
     """
-    lam = tuple(policy.number(v) for v in lam)
-    if len(lam) != z_size:
-        raise InstanceError(f"lambda has {len(lam)} entries, expected {z_size}")
-    for v in lam:
-        if v < 0:
-            raise InstanceError("storage weights must be nonnegative")
+    lam = _storage_weights(lam, z_size, policy)
     zero = 0 * (policy.tolerance + 0)
     x_tolls = [(_toll(pair.phi[x], zero),) * z_size for x in range(instance.x_size)]
     y_tolls = [tuple(_toll(pair.psi[y], zero) for y in range(instance.y_size))] * z_size
     return ExtendedInstance(
         base=instance, z_size=z_size, lam=lam,
-        extended_cost=_extended_cost(instance, x_tolls, y_tolls, zero),
+        extended_cost=_extended_cost(instance.cost, x_tolls, y_tolls, zero),
     )
 
 
@@ -146,19 +164,12 @@ def check_robust_defense(instance: Instance, plan: TransportPlan,
     )
 
 
-def _cost_spread(instance: Instance, policy: Policy):
-    finite = instance.finite_cost_values()
-    one = 1 if policy.exact else 1.0
-    if not finite:
-        return one
-    spread = max(finite) - min(finite)
+def _cost_spread(rows, one):
+    """Largest minus smallest finite entry of the cost rows, or ``one``
+    when there is no positive spread."""
+    finite = [entry for row in rows for entry in row if entry is not INFINITY]
+    spread = max(finite) - min(finite) if finite else 0
     return spread if spread > 0 else one
-
-
-def _random_increment(rng, spread, policy, granularity=16):
-    if policy.exact:
-        return Fraction(rng.randint(0, 2 * granularity), granularity) * spread
-    return rng.uniform(0.0, 2.0) * spread
 
 
 def adversarial_search(instance: Instance, plan: TransportPlan, z_size: int,
@@ -170,24 +181,47 @@ def adversarial_search(instance: Instance, plan: TransportPlan, z_size: int,
     above the certified floor; every trial then fails to improve.  Without
     a certificate the tolls are unconstrained in [0, 2 * spread] and a
     positive improvement witnesses non-robustness.
+
+    Rational mode scales once per call: the masses of mu, nu and lam on
+    their common denominator and the costs on 16 times the instance's cost
+    scale, so floors, steps and tolls are ints and each trial solves an
+    integer network.  Float mode runs the same loop on the costs as they
+    are.
     """
-    lam = tuple(policy.number(v) for v in lam)
+    lam = _storage_weights(lam, z_size, policy)
     plan_value = total_cost(instance, plan)
     if plan_value is INFINITY:
         raise InstanceError("plan has infinite cost")
     zero = 0 * (policy.tolerance + 0)
     certificate = certify_strong(instance, plan, policy)
     if certificate.ok:
-        floor_x = [_toll(certificate.pair.phi[x], zero)
-                   for x in range(instance.x_size)]
-        floor_y = [_toll(certificate.pair.psi[y], zero)
-                   for y in range(instance.y_size)]
+        floor_x = [_toll(phi, zero) for phi in certificate.pair.phi]
+        floor_y = [_toll(psi, zero) for psi in certificate.pair.psi]
         floored = True
     else:
         floor_x = [zero] * instance.x_size
         floor_y = [zero] * instance.y_size
         floored = False
-    spread = _cost_spread(instance, policy)
+    weights = tuple(instance.mu) + tuple(instance.nu) + lam
+    if policy.exact:
+        # A cost unit is ``unit`` trial units.  Potentials and the spread
+        # are multiples of 1 / scale, so floors and steps are ints.
+        scaled = instance.scaled_cost
+        unit = _GRANULARITY * scaled.scale
+        mass_den, weights = integer_scale(weights)
+        rows = [tuple(entry if entry is INFINITY else entry * _GRANULARITY
+                      for entry in row) for row in scaled.rows]
+        step = _cost_spread(scaled.rows, scaled.scale)
+        floor_x = [f.numerator * (unit // f.denominator) for f in floor_x]
+        floor_y = [f.numerator * (unit // f.denominator) for f in floor_y]
+    else:
+        rows = instance.cost
+        step = _cost_spread(rows, 1.0) / _GRANULARITY
+    n_x, n_y = instance.x_size, instance.y_size
+    storage = tuple(weights[n_x + n_y:])
+    ext_mu = tuple(weights[:n_x]) + storage
+    ext_nu = tuple(weights[n_x:n_x + n_y]) + storage
+    inside = 0 * step
     rng = random.Random(seed)
     max_improvement = None
     improving_trial = None
@@ -195,25 +229,26 @@ def adversarial_search(instance: Instance, plan: TransportPlan, z_size: int,
         # Seeded results depend on the draw order: every source's tolls,
         # then every storage point's.
         x_tolls = [
-            [floor_x[x] + _random_increment(rng, spread, policy)
+            [floor_x[x] + rng.randint(0, 2 * _GRANULARITY) * step
              for _ in range(z_size)]
-            for x in range(instance.x_size)
+            for x in range(n_x)
         ]
         y_tolls = [
-            [floor_y[y] + _random_increment(rng, spread, policy)
-             for y in range(instance.y_size)]
+            [floor_y[y] + rng.randint(0, 2 * _GRANULARITY) * step
+             for y in range(n_y)]
             for _ in range(z_size)
         ]
-        ext_instance = ExtendedInstance(
-            base=instance, z_size=z_size, lam=lam,
-            extended_cost=_extended_cost(instance, x_tolls, y_tolls, zero),
-        ).as_instance()
-        result = solve_exact(ext_instance, policy)
-        if not result.feasible:
+        solved = solve_transport(
+            ext_mu, ext_nu, _extended_cost(rows, x_tolls, y_tolls, inside),
+            policy)
+        if solved is None:
             raise InstanceError("extended instance infeasible despite finite tolls")
+        value = solved[1]
+        if policy.exact:
+            value = Fraction(value, mass_den * unit)
         # The defended plan puts no mass on a toll arc, so its extended
         # cost is plan_value whatever the tolls.
-        improvement = plan_value - result.value
+        improvement = plan_value - value
         if max_improvement is None or improvement > max_improvement:
             max_improvement = improvement
         if improvement > policy.tolerance and improving_trial is None:

@@ -5,10 +5,13 @@ infeasible exactly when the finite-arc bipartite graph admits no plan with
 the prescribed marginals, which the one successive shortest path pass finds
 as the sink becoming unreachable while supply remains.  Each of its phases
 runs one Dijkstra and then routes flow along every path that is tight under
-the updated potentials (the primal-dual method).  In rational mode the flow
-network is rescaled to integers (common denominators of weights and costs)
-so the computation is exact and fast; float mode works directly on floats
-with the policy tolerance.
+the updated potentials (the primal-dual method), found by a stack-order
+search that follows the newest tight arc first instead of sweeping every
+source before it reaches a target.  In rational mode the flow network runs
+on integers: Fraction marginals and costs are put on their common
+denominators, and int ones (``Instance.scaled_cost`` in ``solve_exact``,
+the adversary's trial networks) are taken as they are.  Float mode works
+directly on floats with the policy tolerance.
 """
 
 from __future__ import annotations
@@ -46,10 +49,13 @@ def _min_cost_flow(n_src, n_dst, arcs, supply, demand, zero):
     Dijkstra, raises the node potentials by the distances (capped at the
     sink's), augments along the Dijkstra path and then along every residual
     path whose arcs are all tight, reduced cost ``cost + p[u] - p[v] <=
-    zero``, before the next Dijkstra.  Returns a dict (i, j) -> flow and the
-    objective, or None when the sink becomes unreachable while supply
-    remains, i.e. the arcs cannot carry the marginals.  All arithmetic stays
-    in the caller's number domain.
+    zero``, before the next Dijkstra.  Tight paths are searched in stack
+    order: a node is marked when first reached and the newest one is
+    expanded next, so a search heads for the sink instead of expanding
+    every source first.  Returns a dict (i, j) -> flow and the objective,
+    or None when the sink becomes unreachable while supply remains, i.e.
+    the arcs cannot carry the marginals.  All arithmetic stays in the
+    caller's number domain.
     """
     n = n_src + n_dst + 2
     source, sink = n_src + n_dst, n_src + n_dst + 1
@@ -71,6 +77,7 @@ def _min_cost_flow(n_src, n_dst, arcs, supply, demand, zero):
     potential = [nil] * n
     unreached = object()
     remaining = big
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     def augment(prev_edge):
         path = []
@@ -85,11 +92,12 @@ def _min_cost_flow(n_src, n_dst, arcs, supply, demand, zero):
         return bottleneck
 
     def tight_path():
-        """Breadth-first path from source to sink over tight residual arcs."""
+        """Stack-order path from source to sink over tight residual arcs."""
         prev_edge = [-1] * n
         prev_edge[source] = -2
-        queue = [source]
-        for u in queue:
+        stack = [source]
+        while stack:
+            u = stack.pop()
             for eid in adj[u]:
                 v = to[eid]
                 if (prev_edge[v] == -1 and cap[eid] > zero
@@ -97,7 +105,7 @@ def _min_cost_flow(n_src, n_dst, arcs, supply, demand, zero):
                     prev_edge[v] = eid
                     if v == sink:
                         return prev_edge
-                    queue.append(v)
+                    stack.append(v)
         return None
 
     while remaining > zero:
@@ -107,23 +115,24 @@ def _min_cost_flow(n_src, n_dst, arcs, supply, demand, zero):
         done = [False] * n
         heap = [(dist[source], source)]
         while heap:
-            d_u, u = heapq.heappop(heap)
+            d_u, u = heappop(heap)
             if done[u]:
                 continue
             done[u] = True
             if u == sink:
                 break
+            base = d_u + potential[u]
             for eid in adj[u]:
                 if cap[eid] <= zero:
                     continue
                 v = to[eid]
                 if done[v]:
                     continue
-                nd = d_u + cost[eid] + potential[u] - potential[v]
+                nd = base + cost[eid] - potential[v]
                 if dist[v] is unreached or nd < dist[v]:
                     dist[v] = nd
                     prev_edge[v] = eid
-                    heapq.heappush(heap, (nd, v))
+                    heappush(heap, (nd, v))
         if dist[sink] is unreached:
             return None
         d_sink = dist[sink]
@@ -153,7 +162,10 @@ def solve_transport(mu, nu, cost, policy: Policy = RATIONAL):
 
     Returns (mass matrix as tuple-of-tuples, value) or None if infeasible.
     This is the raw engine behind solve_exact; it does not require the
-    marginals to sum to one, only to balance.
+    marginals to sum to one, only to balance.  In rational mode the masses
+    and the finite costs are each put on their common denominator and the
+    result is built in Fractions; when every one of them is an int already
+    the network uses them as they are and the result stays in ints.
     """
     n_src, n_dst = len(mu), len(nu)
     total = sum(mu)
@@ -163,12 +175,15 @@ def solve_transport(mu, nu, cost, policy: Policy = RATIONAL):
              if cost[i][j] is not INFINITY]
     costs = [cost[i][j] for i, j in cells]
     masses = list(mu) + list(nu)
-    if policy.exact:
+    rescale = policy.exact and not (
+        all(type(v) is int for v in masses)
+        and all(type(c) is int for c in costs))
+    if rescale:
         mass_den, masses = integer_scale(masses)
         cost_den, costs = integer_scale(costs)
     if costs and min(costs) < 0:
         raise InstanceError("solver requires nonnegative costs")
-    nil = Fraction(0) if policy.exact else 0.0
+    nil = Fraction(0) if rescale else 0 if policy.exact else 0.0
     mass = [[nil] * n_dst for _ in range(n_src)]
     if total <= policy.tolerance:
         return tuple(map(tuple, mass)), nil
@@ -179,7 +194,7 @@ def solve_transport(mu, nu, cost, policy: Policy = RATIONAL):
     if solved is None:
         return None
     flows, value = solved
-    if policy.exact:
+    if rescale:
         flows = {cell: Fraction(sent, mass_den) for cell, sent in flows.items()}
         value = Fraction(value, mass_den * cost_den)
     for (i, j), sent in flows.items():
@@ -188,11 +203,19 @@ def solve_transport(mu, nu, cost, policy: Policy = RATIONAL):
 
 
 def solve_exact(instance: Instance, policy: Policy = RATIONAL) -> OptimalResult:
-    """Cost-minimizing plan over finite-cost arcs, or feasible=False."""
-    solved = solve_transport(instance.mu, instance.nu, instance.cost, policy)
+    """Cost-minimizing plan over finite-cost arcs, or feasible=False.
+
+    In rational mode the network is built on ``instance.scaled_cost``, the
+    instance's costs already on one integer scale.
+    """
+    scaled = instance.scaled_cost
+    cost = scaled.rows if policy.exact else instance.cost
+    solved = solve_transport(instance.mu, instance.nu, cost, policy)
     if solved is None:
         return OptimalResult(plan=None, value=INFINITY, feasible=False)
     mass, value = solved
+    if policy.exact:
+        value = Fraction(value, scaled.scale)
     return OptimalResult(plan=TransportPlan(mass=mass), value=value, feasible=True)
 
 

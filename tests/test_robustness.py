@@ -1,5 +1,6 @@
 """Storage extensions, the toll defense, and the sampled adversary."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from transport_certify import (
     InstanceError,
     NEG_INFINITY,
     PotentialPair,
+    TransportPlan,
     adversarial_search,
     build_extension,
     certify_strong,
@@ -20,8 +22,10 @@ from transport_certify import (
     solve_exact,
     total_cost,
 )
+from transport_certify import robustness
 from transport_certify.generators import (
     ap_diagonal_plan,
+    ap_shift_plan,
     gen_ap,
     gen_blocks,
     gen_random,
@@ -187,7 +191,7 @@ class TestAdversarialSearch:
                             for _ in range(inst.y_size)] for _ in range(z)]
                 ext = ExtendedInstance(
                     base=inst, z_size=z, lam=tuple(lam),
-                    extended_cost=_extended_cost(inst, x_tolls, y_tolls,
+                    extended_cost=_extended_cost(inst.cost, x_tolls, y_tolls,
                                                  Fraction(0)),
                 ).as_instance()
                 assert (total_cost(ext, extended_plan(plan, z, lam))
@@ -231,3 +235,97 @@ class TestAdversarialSearch:
         a = adversarial_search(inst, plan, 1, [Fraction(1)], 25, 99)
         b = adversarial_search(inst, plan, 1, [Fraction(1)], 25, 99)
         assert a == b
+
+
+def _product_plan(inst):
+    return TransportPlan(mass=tuple(tuple(a * b for b in inst.nu)
+                                    for a in inst.mu))
+
+
+class TestAdversaryDraws:
+    @pytest.mark.parametrize("lam, message", [
+        ((Fraction(-1),), "storage weights must be nonnegative"),
+        ((Fraction(1), Fraction(1)), "lambda has 2 entries, expected 1"),
+    ])
+    def test_storage_weights_validated_like_build_extension(self, lam, message):
+        inst = gen_random(4, 9)
+        plan = solve_exact(inst).plan
+        with pytest.raises(InstanceError, match=message):
+            adversarial_search(inst, plan, 1, lam, 10, 0)
+        pair = certify_strong(inst, plan).pair
+        with pytest.raises(InstanceError, match=message):
+            build_extension(inst, pair, 1, lam)
+
+    @pytest.mark.parametrize("case, z_size, lam, seed, expected", [
+        ("ap", 1, Fraction(1), 3, Fraction(149, 128)),
+        ("ap", 2, Fraction(1, 2), 3, Fraction(173, 128)),
+        ("random", 1, Fraction(1), 7, Fraction(17, 24)),
+        ("random", 2, Fraction(1, 2), 7, Fraction(23, 32)),
+    ])
+    def test_seeded_draws_are_pinned(self, case, z_size, lam, seed, expected):
+        if case == "ap":
+            inst, plan = gen_ap(8, 1, 2), ap_shift_plan(8)
+        else:
+            inst = gen_random(8, 9)
+            plan = _product_plan(inst)
+        report = adversarial_search(inst, plan, z_size, [lam] * z_size, 10, seed)
+        assert report.max_improvement == expected
+        assert report.improving_trial == 0
+        assert not report.floored
+
+    @pytest.mark.parametrize("certified", [True, False])
+    def test_each_integer_trial_solves_its_fraction_extension(
+            self, certified, monkeypatch):
+        # Replays the seeded draws in Fractions and checks every trial's
+        # integer network against the Fraction extension it stands for.
+        inst = gen_random(5, 41, inf_density=0.3 if certified else 0)
+        plan = solve_exact(inst).plan if certified else _product_plan(inst)
+        z_size, lam, trials, seed = 2, [Fraction(1, 3)] * 2, 6, 5
+        solved = []
+        solve_transport = robustness.solve_transport
+
+        def recording(mu, nu, cost, policy):
+            result = solve_transport(mu, nu, cost, policy)
+            solved.append((cost, result[1]))
+            return result
+
+        monkeypatch.setattr(robustness, "solve_transport", recording)
+        report = adversarial_search(inst, plan, z_size, lam, trials, seed)
+        assert report.floored == certified and len(solved) == trials
+
+        cert = certify_strong(inst, plan)
+        zero = Fraction(0)
+        if certified:
+            floor_x = [max(zero, p) if p is not NEG_INFINITY else zero
+                       for p in cert.pair.phi]
+            floor_y = [max(zero, q) if q is not NEG_INFINITY else zero
+                       for q in cert.pair.psi]
+        else:
+            floor_x, floor_y = [zero] * inst.x_size, [zero] * inst.y_size
+        finite = inst.finite_cost_values()
+        spread = max(finite) - min(finite)
+        cost_unit = 16 * inst.scaled_cost.scale
+        unit = cost_unit * math.lcm(
+            *(w.denominator for w in inst.mu + inst.nu + tuple(lam)))
+        plan_value = total_cost(inst, plan)
+        rng = random.Random(seed)
+        improvements = []
+        for cost, value in solved:
+            x_tolls = [[floor_x[x] + Fraction(rng.randint(0, 32), 16) * spread
+                        for _ in range(z_size)] for x in range(inst.x_size)]
+            y_tolls = [[floor_y[y] + Fraction(rng.randint(0, 32), 16) * spread
+                        for y in range(inst.y_size)] for _ in range(z_size)]
+            ext = ExtendedInstance(
+                base=inst, z_size=z_size, lam=tuple(lam),
+                extended_cost=_extended_cost(inst.cost, x_tolls, y_tolls, zero),
+            ).as_instance()
+            assert cost == tuple(
+                tuple(e if e is INFINITY else e * cost_unit for e in row)
+                for row in ext.cost)
+            optimum = solve_exact(ext).value
+            assert Fraction(value, unit) == optimum
+            improvements.append(plan_value - optimum)
+        assert report.max_improvement == max(improvements)
+        first = next((k for k, gain in enumerate(improvements) if gain > 0),
+                     None)
+        assert report.improving_trial == first

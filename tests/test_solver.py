@@ -21,6 +21,7 @@ from transport_certify import (
     validate_instance,
     make_instance,
 )
+from transport_certify.solver import _min_cost_flow, solve_transport
 from transport_certify.generators import (
     ap_shift_plan,
     gen_ap,
@@ -66,6 +67,33 @@ class TestSolveExact:
         rows, cols = marginals(result.plan)
         assert rows == inst.mu
         assert cols == inst.nu
+
+
+    def test_only_tight_path_runs_through_a_reverse_arc(self):
+        # The Dijkstra path takes x0 -> y0; x1 reaches only y0, so the one
+        # tight path left is source -> x1 -> y0 -> x0 (back along the flow
+        # on x0 -> y0) -> y1 -> sink.
+        arcs = [(0, 0, 0), (0, 1, 0), (1, 0, 0)]
+        flows, objective = _min_cost_flow(2, 2, arcs, [1, 1], [1, 1], 0)
+        assert flows == {(0, 1): 1, (1, 0): 1}
+        assert objective == 0
+        result = solve_exact(uniform_instance([[0, 0], [0, "inf"]]))
+        half = Fraction(1, 2)
+        assert result.plan.mass == ((0, half), (half, 0))
+        assert result.value == 0
+
+    def test_result_follows_the_number_domain_of_the_input(self):
+        cost = ((0, 3), (2, 0))
+        mass, value = solve_transport((1, 2), (2, 1), cost)
+        assert mass == ((1, 0), (1, 1)) and value == 2
+        assert type(value) is int
+        assert all(type(m) is int for row in mass for m in row)
+        third = Fraction(1, 3)
+        mass, value = solve_transport((third, 2 * third), (2 * third, third),
+                                      cost)
+        assert mass == ((third, 0), (third, third)) and value == 2 * third
+        assert type(value) is Fraction
+        assert all(type(m) is Fraction for row in mass for m in row)
 
 
 class TestBruteForce:
